@@ -1,34 +1,31 @@
 """Connected components: transitive clustering of linked records.
 
-Reference: /root/reference/mismo/cluster/_connected_components.py:39-314 —
-iterative min-label propagation (drmaciver.com SQL-CC algorithm), linear in
-the diameter of the largest component; non-int record ids are factorized to
-int64 first (:266-286, mismo/_factorizer.py:12-41); unlinked records get
-fresh labels above the max existing label (:305-314).
+Reference: mismo ``cluster/_connected_components.py`` — iterative min-label
+propagation, linear in the diameter of the largest component; non-int record
+ids are factorized to int64 first; unlinked records get fresh labels above
+the max existing label.
 
 Two execution paths:
 
-- **distributed** (the 10^12-row path): the exact reference round structure as
-  Ray Data ops — per round 2 hash joins (edges x labels on each endpoint)
-  -> distinct component-equivalence pairs -> union of both directions ->
-  ``groupby(component_old).min`` -> relabel, with labels materialized per
-  round (lineage truncation) and optionally checkpointed to parquet;
-  convergence = count of changed labels == 0.
-- **driver union-find** (automatic below ``driver_threshold`` edges): the
-  guide's sanctioned shortcut when the edge set is provably small — collect
-  edge ids, numpy/dict union-find, broadcast labels back.
+- **driver union-find** (``mode="driver"``, or ``"auto"`` at or below
+  ``DRIVER_THRESHOLD`` edges): collect the edge ids, union-find in a dict,
+  broadcast the labels back to the records.
+- **star contraction** (``mode="distributed"``, or ``"auto"`` above the
+  threshold; the 10^12-row path): alternating large-star / small-star rounds
+  (Kiveris et al., "Connected Components in MapReduce and Beyond", SoCC'14 —
+  the arXiv:1802.09478 survey the reference cites) converge in O(log n)
+  rounds instead of min-propagation's O(diameter). Every half-round, and the
+  final per-node minimum, is one bucketed shuffle whose buckets run one
+  vectorized sort + ``minimum.reduceat`` (``_runs``). Non-int ids are
+  factorized to int64 codes first; labels attach to records by one bucketed
+  lookup in code space (``_attach_labels_coded``).
 
 Component label = the minimum int64 code over the component's members
 (identical to the reference's fixpoint). Singletons use their own id/code as
-the fresh label (unique, disjoint from min-member propagated labels; the
-reference numbers them ``max_label + row_number`` — same semantics,
-different arbitrary values, and no int64 overflow on hash-derived ids).
-
-Upgrade paths beyond plain min-label propagation (not needed for reference
-parity; rounds ~ cluster diameter, which is small for dup clusters):
-large-star/small-star contraction (Kiveris et al., "Connected Components in
-MapReduce and Beyond", SoCC'14 — the arXiv:1802.09478 survey the reference
-cites) and load-balanced distributed union-find (BTS, ICDE'24, PAPERS.md).
+the fresh label (unique, disjoint from min-member labels; the reference
+numbers them ``max_label + row_number`` — same semantics, different arbitrary
+values, and no int64 overflow on hash-derived ids). The driver path's
+non-int singletons take an id hash in the >= 2^62 range instead.
 """
 
 from __future__ import annotations
@@ -38,16 +35,14 @@ import logging
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Min
 
-from mismo_ray._joins import broadcast_lookup, distinct, hash_join
+from mismo_ray._joins import distinct
 from mismo_ray._util import hash64
 
 logger = logging.getLogger(__name__)
 
-# update maps up to this many rows are broadcast (map-only relabel);
-# larger maps fall back to the left-outer hash join (the extreme-scale path)
-_UPDATE_MAP_BCAST = 2_000_000
+# mode="auto" runs the driver union-find at or below this many edges
+DRIVER_THRESHOLD = 2_000_000
 
 
 # --------------------------------------------------------------- factorizer
@@ -118,36 +113,32 @@ def bucketed_lookup_join(
         mrows = g.filter(pa.array(side == 0))
         drows = g.filter(pa.array(side == 1))
         keys = drows["__key__"].combine_chunks()
+        mkeys = mrows["__key__"].combine_chunks()
+        mvals = mrows["__val__"].combine_chunks()
+        # pos = each data row's row in the mapping slice, -1 when missing
         if nested:
-            local = {
-                _hashable(k): v
-                for k, v in zip(
-                    mrows["__key__"].to_pylist(), mrows["__val__"].to_pylist()
-                )
-            }
-            sentinel = object()
-            raw = [local.get(_hashable(k), sentinel) for k in keys.to_pylist()]
-            miss = np.fromiter((v is sentinel for v in raw), dtype=bool, count=len(raw))
-            vals = pa.array(
-                [None if v is sentinel else v for v in raw], type=out_type
+            local = {_hashable(k): i for i, k in enumerate(mkeys.to_pylist())}
+            pos = np.fromiter(
+                (local.get(_hashable(k), -1) for k in keys.to_pylist()),
+                dtype=np.int64,
+                count=len(keys),
             )
         else:
-            idx = pc.index_in(keys, value_set=mrows["__key__"].combine_chunks())
-            vals = pc.take(mrows["__val__"].combine_chunks(), idx)
-            miss = np.asarray(idx.is_null())
+            idx = pc.index_in(keys, value_set=mkeys).fill_null(-1)
+            pos = np.array(idx, dtype=np.int64)
+        miss = pos < 0
         if miss.any():
             if on_missing is None:
                 raise KeyError(
                     f"{int(miss.sum())} keys of '{column}' missing from mapping"
                 )
             fill = on_missing(keys.filter(pa.array(miss)))
-            vals_np = vals.to_pylist()
-            fill_l = fill.to_pylist() if isinstance(fill, pa.Array) else list(fill)
-            j = 0
-            for i in np.flatnonzero(miss):
-                vals_np[i] = fill_l[j]
-                j += 1
-            vals = pa.array(vals_np, type=out_type)
+            if not isinstance(fill, pa.Array):
+                fill = pa.array(list(fill), type=out_type)
+            # the fills go after the mapping values: one take serves both
+            pos[miss] = len(mvals) + np.arange(int(miss.sum()))
+            mvals = pa.concat_arrays([mvals, fill.cast(out_type)])
+        vals = pc.take(mvals, pa.array(pos))
         cols = {}
         for c in data_cols:
             if c == column and result_name is None:
@@ -346,19 +337,28 @@ def _cc_driver(edges: ray.data.Dataset) -> dict:
 
 
 # -------------------------------------------------------------- distributed path
+def _runs(keys: np.ndarray, vals: np.ndarray):
+    """Group one bucket's (key, val) rows by key: sort by key, return the
+    sorted keys and vals, each key's first row and row count, and each key's
+    minimum val. Callers pass at least one row."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[starts, len(keys)])
+    return keys, vals, starts, counts, np.minimum.reduceat(vals, starts)
+
+
 def _cc_star(
     edges: ray.data.Dataset,
     *,
     max_iter: int | None = None,
     checkpoint_dir: str | None = None,
 ) -> ray.data.Dataset:
-    """Alternating large-star / small-star rounds (Kiveris et al.,
-    "Connected Components in MapReduce and Beyond", SoCC'14 — the paper the
-    reference's CC docs point at): converges in O(log n) rounds vs plain
-    min-propagation's O(diameter), so it is the mode for long-chain graphs.
+    """Alternating large-star / small-star rounds over int64 edges -> labels
+    Dataset (record_id, component).
 
     Each half-round is one bucketed groupby shuffle (all rows of a node land
-    in hash(node)%B's bucket; per-node neighborhoods are processed with
+    in node % B's bucket; per-node neighborhoods are processed with
     vectorized sort + minimum.reduceat inside the bucket — no python per
     node) followed by an edge-distinct. Both operations only re-point nodes
     at smaller members of their own component, so the component minimum is
@@ -370,16 +370,11 @@ def _cc_star(
     from mismo_ray._joins import default_num_partitions
     from mismo_ray._util import splitmix64
 
-    # the edge set is consumed more than once (the star rounds AND the
-    # final identity-labels union); pin it so a lazy upstream pair-gen
-    # lineage does not re-execute — mode="auto" pins before routing, but
-    # an explicit mode="star" call arrives lazy (_cc_distributed does the
-    # same pin internally)
+    # the edge set is consumed twice (the star rounds AND the final
+    # identity-labels union); pin it so a lazy upstream pair-gen lineage
+    # does not re-execute (a no-op when mode="auto" pinned it already)
     edges = edges.materialize()
     B = default_num_partitions()
-    _EMPTY = pa.table(
-        {"u": pa.array([], type=pa.int64()), "v": pa.array([], type=pa.int64())}
-    )
 
     def canon(t: pa.Table) -> pa.Table:
         a = t["record_id_l"].combine_chunks().cast(pa.int64())
@@ -389,50 +384,56 @@ def _cc_star(
         keep = pc.not_equal(hi, lo)
         return pa.table({"u": hi.filter(keep), "v": lo.filter(keep)})
 
-    E = distinct(
-        edges.map_batches(canon, batch_format="pyarrow"), ["u", "v"]
-    ).materialize()
+    # B blocks: the rounds' sort-based shuffles keep the block count they
+    # are given, and their cost grows with it (a factorized 1.6k-edge set
+    # arrived in 80 blocks at B = 16 and ran ~30% slower end to end)
+    E = (
+        distinct(edges.map_batches(canon, batch_format="pyarrow"), ["u", "v"])
+        .repartition(B)
+        .materialize()
+    )
 
-    def bucketize(col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            src = np.asarray(t[col], dtype=np.int64)
+    def per_node(ds: ray.data.Dataset, key: str, val: str, fn, out=("u", "v")):
+        # fn(sorted keys, sorted vals, starts, counts, mins) -> the two
+        # ``out`` columns, per bucket; every row of one key lands in the
+        # same bucket
+        out_a, out_b = out
+
+        def bucketize(t: pa.Table) -> pa.Table:
+            src = np.asarray(t[key], dtype=np.int64)
             bkt = (src.astype(np.uint64) % np.uint64(B)).astype(np.int64)
             return t.append_column("__b__", pa.array(bkt))
 
-        return fn
+        def bucket(g: pa.Table) -> pa.Table:
+            if g.num_rows == 0:
+                empty = pa.array([], pa.int64())
+                return pa.table({out_a: empty, out_b: empty})
+            a, b = fn(
+                *_runs(
+                    np.asarray(g[key], dtype=np.int64),
+                    np.asarray(g[val], dtype=np.int64),
+                )
+            )
+            return pa.table({out_a: pa.array(a), out_b: pa.array(b)})
 
-    def large_star_bucket(g: pa.Table) -> pa.Table:
+        return (
+            ds.map_batches(bucketize, batch_format="pyarrow")
+            .groupby("__b__")
+            .map_groups(bucket, batch_format="pyarrow")
+        )
+
+    def large_star(src, dst, starts, counts, m):
         # emit (v, min(N+(u))) for every neighbor v > u of each node u
-        src = np.asarray(g["src"], dtype=np.int64)
-        dst = np.asarray(g["dst"], dtype=np.int64)
-        if len(src) == 0:
-            return _EMPTY
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-        counts = np.diff(np.r_[starts, len(src)])
-        m = np.minimum(np.minimum.reduceat(dst, starts), src[starts])
-        m_rep = np.repeat(m, counts)
+        m_rep = np.repeat(np.minimum(m, src[starts]), counts)
         big = dst > src
-        return pa.table({"u": pa.array(dst[big]), "v": pa.array(m_rep[big])})
+        return dst[big], m_rep[big]
 
-    def small_star_bucket(g: pa.Table) -> pa.Table:
+    def small_star(u, v, starts, counts, m):
         # edges are directed u > v here; per u: m = min neighbor, emit
         # (u, m) and (v, m) for the other small neighbors
-        u = np.asarray(g["u"], dtype=np.int64)
-        v = np.asarray(g["v"], dtype=np.int64)
-        if len(u) == 0:
-            return _EMPTY
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        counts = np.diff(np.r_[starts, len(u)])
-        m = np.minimum.reduceat(v, starts)
         m_rep = np.repeat(m, counts)
         keep = v != m_rep
-        out_u = np.concatenate([v[keep], u[starts]])
-        out_v = np.concatenate([m_rep[keep], m])
-        return pa.table({"u": pa.array(out_u), "v": pa.array(out_v)})
+        return np.r_[v[keep], u[starts]], np.r_[m_rep[keep], m]
 
     def checksum(e: ray.data.Dataset) -> tuple[int, int]:
         # order-insensitive content hash: sum of mixed pair hashes + count
@@ -473,20 +474,12 @@ def _cc_star(
             ),
             batch_format="pyarrow",
         )
-        after_large = (
-            sym.map_batches(bucketize("src"), batch_format="pyarrow")
-            .groupby("__b__")
-            .map_groups(large_star_bucket, batch_format="pyarrow")
-        )
         # no distinct between the half-rounds: duplicate edges cannot change
         # any per-node minimum (they at most double small-star's input), and
         # skipping it saves one full shuffle per round; the post-small-star
         # distinct restores the canonical edge set
-        after_small = (
-            after_large.map_batches(bucketize("u"), batch_format="pyarrow")
-            .groupby("__b__")
-            .map_groups(small_star_bucket, batch_format="pyarrow")
-        )
+        after_large = per_node(sym, "src", "dst", large_star)
+        after_small = per_node(after_large, "u", "v", small_star)
         E = distinct(after_small, ["u", "v"]).materialize()
         if checkpoint_dir is not None:
             E.write_parquet(f"{checkpoint_dir}/star_edges_round_{i}")
@@ -508,7 +501,7 @@ def _cc_star(
         )
 
     # identity rows cover nodes canon dropped (self-loop-only nodes) and
-    # make every endpoint labeled, like min-propagation's initial labels
+    # make every endpoint labeled
     def identity_labels(t: pa.Table) -> pa.Table:
         ids = pa.concat_arrays(
             [
@@ -522,223 +515,21 @@ def _cc_star(
         edges.map_batches(identity_labels, batch_format="pyarrow")
     )
     # min per node: keeps the star root where one exists (root = component
-    # min <= own id), resolves a max_iter-truncated run's multiple candidates
-    return labels.groupby("record_id").aggregate(
-        Min("component", alias_name="component")
-    )
-
-
-def _cc_distributed(
-    edges: ray.data.Dataset,
-    *,
-    max_iter: int | None,
-    checkpoint_dir: str | None = None,
-) -> ray.data.Dataset:
-    """Min-label propagation rounds over int64 edges -> labels Dataset
-    (record_id, component)."""
-    import pyarrow.compute as pc
-
-    def initial_labels(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "record_id": pa.concat_arrays(
-                    [
-                        t["record_id_l"].combine_chunks().cast(pa.int64()),
-                        t["record_id_r"].combine_chunks().cast(pa.int64()),
-                    ]
-                )
-            }
+    # min <= own id), resolves a max_iter-truncated run's multiple candidates.
+    # A sort-based groupby emits one block per input block, so the labels
+    # would carry the union's block count (edge set + stars) into the
+    # attach's lookup shuffle; B blocks keep that shuffle small
+    return (
+        per_node(
+            labels,
+            "record_id",
+            "component",
+            lambda node, _, starts, counts, m: (node[starts], m),
+            out=("record_id", "component"),
         )
-
-    from mismo_ray._joins import default_num_partitions
-
-    n_blocks = default_num_partitions()
-    nodes = distinct(
-        edges.map_batches(initial_labels, batch_format="pyarrow"), "record_id"
-    )
-    labels = (
-        nodes.map_batches(
-            lambda t: t.append_column("component", t["record_id"]),
-            batch_format="pyarrow",
-        )
-        .repartition(n_blocks)
+        .repartition(B)
         .materialize()
     )
-
-    edges = edges.materialize()
-    label_schema = pa.schema(
-        [pa.field("record_id", pa.int64()), pa.field("component", pa.int64())]
-    )
-    edge_schema = pa.schema(
-        [pa.field("record_id_l", pa.int64()), pa.field("record_id_r", pa.int64())]
-    )
-    n_nodes = labels.count()
-    # label tables up to this many rows are broadcast per round (two
-    # ``pc.index_in`` lookups in ONE map over the edges — no join shuffles).
-    # Keep this SMALL: index_in rebuilds a value-set hash table per task, so
-    # broadcasting a large label table costs more than the two hash joins
-    # (measured: 1.3M labels broadcast = 92 s vs 70 s joined on the 1M-edge
-    # benchmark); bigger graphs take the joins (also the 10^12-row path).
-    bcast_nodes = 200_000
-
-    i = 0
-    while True:
-        i += 1
-        if n_nodes <= bcast_nodes:
-            ka_list, va_list = [], []
-            for bt in labels.iter_batches(batch_format="pyarrow"):
-                ka_list.append(bt["record_id"].combine_chunks().cast(pa.int64()))
-                va_list.append(bt["component"].combine_chunks().cast(pa.int64()))
-            ka = pa.concat_arrays(ka_list) if ka_list else pa.array([], type=pa.int64())
-            va = pa.concat_arrays(va_list) if va_list else pa.array([], type=pa.int64())
-            lref = ray.put((ka, va))
-
-            def attach_both(t: pa.Table) -> pa.Table:
-                ka, va = ray.get(lref)
-                l_ids = t["record_id_l"].combine_chunks().cast(pa.int64())
-                r_ids = t["record_id_r"].combine_chunks().cast(pa.int64())
-                cl = pc.take(va, pc.index_in(l_ids, value_set=ka))
-                cr = pc.take(va, pc.index_in(r_ids, value_set=ka))
-                return pa.table(
-                    {
-                        "record_id_l": l_ids,
-                        "record_id_r": r_ids,
-                        "component_l": cl,
-                        "component_r": cr,
-                    }
-                )
-
-            j2 = edges.map_batches(attach_both, batch_format="pyarrow")
-        else:
-            # component_l / component_r per edge (2 hash joins)
-            j1 = hash_join(
-                edges,
-                labels.map_batches(
-                    lambda t: t.rename_columns(["record_id_l", "component_l"]),
-                    batch_format="pyarrow",
-                ),
-                on="record_id_l",
-                left_schema=edge_schema,
-                right_schema=pa.schema(
-                    [pa.field("record_id_l", pa.int64()), pa.field("component_l", pa.int64())]
-                ),
-            )
-            j2 = hash_join(
-                j1,
-                labels.map_batches(
-                    lambda t: t.rename_columns(["record_id_r", "component_r"]),
-                    batch_format="pyarrow",
-                ),
-                on="record_id_r",
-                left_schema=pa.schema(
-                    [
-                        pa.field("record_id_l", pa.int64()),
-                        pa.field("record_id_r", pa.int64()),
-                        pa.field("component_l", pa.int64()),
-                    ]
-                ),
-                right_schema=pa.schema(
-                    [pa.field("record_id_r", pa.int64()), pa.field("component_r", pa.int64())]
-                ),
-            )
-
-        def equiv(t: pa.Table) -> pa.Table:
-            cl = t["component_l"].combine_chunks().cast(pa.int64())
-            cr = t["component_r"].combine_chunks().cast(pa.int64())
-            return pa.table(
-                {
-                    "component_old": pa.concat_arrays([cl, cr]),
-                    "component": pa.concat_arrays([cr, cl]),
-                }
-            )
-
-        update_map = (
-            j2.map_batches(equiv, batch_format="pyarrow")
-            .groupby("component_old")
-            .aggregate(Min("component", alias_name="component"))
-            .materialize()
-        )
-        n_updates_map = update_map.count()
-
-        # apply the update map to the labels: the map holds one row per
-        # component that appeared on an edge this round — usually FAR smaller
-        # than the label table, so a broadcast dict apply (map-only, no
-        # shuffle) beats the left-outer hash join; corpus-sized maps (early
-        # rounds at extreme scale) keep the join path.
-        if n_updates_map <= _UPDATE_MAP_BCAST:
-            m: dict = {}
-            for bt in update_map.iter_batches(batch_format="pyarrow"):
-                m.update(
-                    zip(
-                        bt["component_old"].to_pylist(),
-                        bt["component"].to_pylist(),
-                    )
-                )
-            keys_arr = pa.array(list(m.keys()), type=pa.int64())
-            vals_arr = pa.array(list(m.values()), type=pa.int64())
-            mref = ray.put((keys_arr, vals_arr))
-
-            def bcast_relabel(t: pa.Table) -> pa.Table:
-                ka, va = ray.get(mref)
-                old = t["component"].combine_chunks().cast(pa.int64())
-                idx = pc.index_in(old, value_set=ka)
-                return pa.table(
-                    {
-                        "record_id": t["record_id"],
-                        "component_old": old,
-                        "component": pc.take(va, idx),  # miss -> null
-                    }
-                )
-
-            relabeled = labels.map_batches(bcast_relabel, batch_format="pyarrow")
-        else:
-            relabeled = hash_join(
-                labels.map_batches(
-                    lambda t: t.rename_columns(["record_id", "component_old"]),
-                    batch_format="pyarrow",
-                ),
-                update_map,
-                on="component_old",
-                how="left_outer",
-                left_schema=pa.schema(
-                    [pa.field("record_id", pa.int64()), pa.field("component_old", pa.int64())]
-                ),
-                right_schema=pa.schema(
-                    [pa.field("component_old", pa.int64()), pa.field("component", pa.int64())]
-                ),
-            )
-
-        def finish(t: pa.Table) -> pa.Table:
-            comp = pc.min_element_wise(
-                pc.fill_null(t["component"], np.int64(2**62)),
-                t["component_old"].combine_chunks().cast(pa.int64()),
-            )
-            changed = pc.not_equal(comp, t["component_old"])
-            return pa.table(
-                {
-                    "record_id": t["record_id"],
-                    "component": comp,
-                    "__changed__": changed,
-                }
-            )
-
-        # repartition bounds the per-round block count: the union/sort ops in
-        # each round roughly TRIPLE the label block count otherwise, and task
-        # counts (and round wall time) grow geometrically with rounds.
-        new_labels = (
-            relabeled.map_batches(finish, batch_format="pyarrow")
-            .repartition(n_blocks)
-            .materialize()
-        )
-        n_updates = new_labels.sum("__changed__")
-        labels = new_labels.drop_columns(["__changed__"]).materialize()
-        if checkpoint_dir is not None:
-            labels.write_parquet(f"{checkpoint_dir}/labels_round_{i}")
-        logger.info("CC round %d: %s updates", i, n_updates)
-        if not n_updates:
-            return labels
-        if max_iter is not None and i >= max_iter:
-            return labels
 
 
 # ------------------------------------------------------------------ public API
@@ -749,7 +540,6 @@ def connected_components(
     max_iter: int | None = None,
     label_as: str = "component",
     mode: str = "auto",
-    driver_threshold: int = 2_000_000,
     factorize_broadcast_threshold: int = 2_000_000,
     checkpoint_dir: str | None = None,
 ) -> ray.data.Dataset:
@@ -758,16 +548,13 @@ def connected_components(
     Returns (record_id, <label_as>) when ``records`` is None, else ``records``
     with a <label_as> column appended (singletons included).
 
-    ``mode``: "auto" (driver union-find for small edge sets, else
-    distributed min-propagation), "driver", "distributed", or "star" —
-    alternating large-star/small-star rounds (O(log n) rounds instead of
-    O(graph diameter); pick it for long-chain graphs, e.g. temporal or
-    near-duplicate chains; identical labels, min member id per component).
+    ``mode``: "driver" (union-find on the driver), "distributed"
+    (large-star/small-star contraction, O(log n) rounds) or "auto" (driver
+    at or below ``DRIVER_THRESHOLD`` edges, else distributed). Both give the
+    same labels: the min member id (code) per component.
     """
-    if mode not in ("auto", "driver", "distributed", "star"):
-        raise ValueError(
-            f"mode must be auto/driver/distributed/star, got {mode!r}"
-        )
+    if mode not in ("auto", "driver", "distributed"):
+        raise ValueError(f"mode must be auto/driver/distributed, got {mode!r}")
     if records is not None:
         _rs0 = records.schema(fetch_if_missing=True)
         if _rs0 is not None and label_as in _rs0.base_schema.names:
@@ -783,11 +570,11 @@ def connected_components(
         # Materialize the pruned 2-col edge set BEFORE the routing count:
         # count() would otherwise execute the full upstream pair-gen lineage
         # (ngram/LSH shuffles) once for the count and AGAIN for the chosen
-        # CC path. Both distributed paths materialize edges internally
-        # anyway (they iterate the edge set over rounds), so this only
+        # CC path. The distributed path materializes edges internally
+        # anyway (it iterates the edge set over rounds), so this only
         # moves the pin earlier; 16 B/edge, spills past the store budget.
         edges = edges.materialize()
-        mode = "driver" if edges.count() <= driver_threshold else "distributed"
+        mode = "driver" if edges.count() <= DRIVER_THRESHOLD else "distributed"
 
     _es = edges.schema(fetch_if_missing=True)
     # empty edge set (zero blocks): any id type is consistent; int64 keeps
@@ -837,6 +624,7 @@ def connected_components(
         return _attach_labels_broadcast(records, labels_map, label_as)
 
     # distributed path: ids must be int64 (factorize otherwise)
+    f = None
     if not int_ids:
         both = edges.map_batches(
             lambda t: pa.table(
@@ -859,39 +647,23 @@ def connected_components(
             both = both.union(records.select_columns(["record_id"]))
         f = Factorizer(both, broadcast_threshold=factorize_broadcast_threshold)
         edges = f.encode_column(
-            edges.map_batches(
-                lambda t: t.rename_columns(["record_id", "record_id_r"]),
-                batch_format="pyarrow",
-            ),
-            "record_id",
+            edges,
+            "record_id_l",
             ds_schema=pa.schema(
-                [pa.field("record_id", id_type), pa.field("record_id_r", id_type)]
+                [pa.field("record_id_l", id_type), pa.field("record_id_r", id_type)]
             ),
-        ).map_batches(
-            lambda t: t.rename_columns(["record_id_l", "record_id_r"]),
-            batch_format="pyarrow",
         )
         edges = f.encode_column(
-            edges.map_batches(
-                lambda t: t.rename_columns(["record_id_l", "record_id"]),
-                batch_format="pyarrow",
-            ),
-            "record_id",
+            edges,
+            "record_id_r",
             ds_schema=pa.schema(
-                [pa.field("record_id_l", pa.int64()), pa.field("record_id", id_type)]
+                [pa.field("record_id_l", pa.int64()), pa.field("record_id_r", id_type)]
             ),
-        ).map_batches(
-            lambda t: t.rename_columns(["record_id_l", "record_id_r"]),
-            batch_format="pyarrow",
         )
-    cc_fn = _cc_star if mode == "star" else _cc_distributed
-    labels = cc_fn(edges, max_iter=max_iter, checkpoint_dir=checkpoint_dir)
-    if not int_ids and records is not None:
-        # attach in CODE space: the factorizer covered record ids too, so a
-        # singleton's own code is its fresh label — unique by construction
-        # and disjoint from linked min-code component labels
+    labels = _cc_star(edges, max_iter=max_iter, checkpoint_dir=checkpoint_dir)
+    if records is not None:
         return _attach_labels_coded(records, labels, f, label_as, id_type)
-    if not int_ids:
+    if f is not None:
         labels = f.decode_column(
             labels,
             "record_id",
@@ -899,117 +671,60 @@ def connected_components(
                 [pa.field("record_id", pa.int64()), pa.field("component", pa.int64())]
             ),
         )
-    if records is None:
-        return labels.map_batches(
-            lambda t: t.rename_columns(
-                [label_as if c == "component" else c for c in t.column_names]
-            ),
-            batch_format="pyarrow",
-        )
-    if labels.count() <= driver_threshold:
-        pdf = labels.to_pandas()
-        labels_map = (
-            dict(zip(pdf["record_id"].map(_hashable), pdf["component"]))
-            if len(pdf)
-            else {}  # no labeled records: every record is a singleton
-        )
-        return _attach_labels_broadcast(records, labels_map, label_as)
-    return _attach_labels_join(records, labels, label_as)
+    return labels.map_batches(
+        lambda t: t.rename_columns(
+            [label_as if c == "component" else c for c in t.column_names]
+        ),
+        batch_format="pyarrow",
+    )
 
 
 def _attach_labels_coded(
     records: ray.data.Dataset,
     labels: ray.data.Dataset,
-    f: "Factorizer",
+    f: Factorizer | None,
     label_as: str,
     id_type: pa.DataType,
 ) -> ray.data.Dataset:
-    """Attach component labels to non-int-id records via factorized codes.
+    """Attach component labels to records by one bucketed lookup in code
+    space.
 
-    ``labels`` is still in code space (record_id = code). Each record's id is
-    encoded with the SAME factorizer (which covered records at build time),
-    then labels are looked up by code; a record missing from the labels —
-    a singleton — takes its own code as the label. Own-codes are unique and
-    belong to unlinked records, so they cannot collide with any linked
-    component's min-code label (unlike the previous 62-bit id-hash scheme,
-    which had non-negligible birthday collisions at ~1e9 singletons)."""
+    ``labels`` is in code space (record_id = code). Int ids are their own
+    codes (``f`` is None); other ids are encoded with the SAME factorizer,
+    which covered the record ids at build time. A record missing from the
+    labels — a singleton — takes its own code as the label. Own-codes are
+    unique and belong to unlinked records, so they cannot collide with any
+    linked component's min-code label (unlike a 62-bit id-hash scheme, which
+    has non-negligible birthday collisions at ~1e9 singletons)."""
     _bs = records.schema(fetch_if_missing=True)
     base = _bs.base_schema if _bs is not None else pa.schema(
         [pa.field("record_id", id_type)]  # empty records: nothing to attach
     )
+    code = "record_id"
+    if f is not None:
+        code = "__cc_code__"
 
-    def dup(t: pa.Table) -> pa.Table:
-        return t.append_column("__cc_code__", t["record_id"].combine_chunks())
+        def dup(t: pa.Table) -> pa.Table:
+            return t.append_column(code, t["record_id"].combine_chunks())
 
-    rec2 = f.encode_column(
-        records.map_batches(dup, batch_format="pyarrow"),
-        "__cc_code__",
-        ds_schema=base.append(pa.field("__cc_code__", id_type)),
-    )
+        records = f.encode_column(
+            records.map_batches(dup, batch_format="pyarrow"),
+            code,
+            ds_schema=base.append(pa.field(code, id_type)),
+        )
+        base = base.append(pa.field(code, pa.int64()))
     out = bucketed_lookup_join(
-        rec2,
-        "__cc_code__",
+        records,
+        code,
         labels,
         key_name="record_id",
         val_name="component",
         out_type=pa.int64(),
         result_name=label_as,
-        ds_schema=base.append(pa.field("__cc_code__", pa.int64())),
+        ds_schema=base,
         on_missing=lambda missing: missing.cast(pa.int64()),
     )
-    return out.drop_columns(["__cc_code__"])
-
-
-def _attach_labels_join(
-    records: ray.data.Dataset, labels: ray.data.Dataset, label_as: str
-) -> ray.data.Dataset:
-    """Scale path: join records x labels without collecting either side.
-
-    Int ids: hash left-outer join; singletons (null component) use their own
-    record_id as a fresh label (unique, disjoint from min-member-id component
-    labels). Non-int ids: bucketed lookup join; singleton fresh labels come
-    from the id hash in the >= 2^62 range, disjoint from factorized codes."""
-    import pyarrow.compute as pc
-
-    _rs = records.schema(fetch_if_missing=True)
-    id_type = (
-        _rs.base_schema.field("record_id").type if _rs is not None else pa.int64()
-    )  # empty records: type is moot
-    if pa.types.is_integer(id_type):
-        # join the labels under an INTERNAL name: a records table that
-        # already carries a column named "component" would otherwise force
-        # hash_join's suffix onto the labels side and fill() would read the
-        # records' unrelated column — silent wrong labels
-        def rename_label(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"record_id": t["record_id"], "__cc_label__": t["component"]}
-            )
-
-        lab = labels.map_batches(rename_label, batch_format="pyarrow")
-        joined = hash_join(records, lab, on="record_id", how="left_outer")
-
-        def fill(t: pa.Table) -> pa.Table:
-            rid = t["record_id"].combine_chunks().cast(pa.int64())
-            comp = pc.coalesce(t["__cc_label__"], rid)
-            out = t.drop_columns(["__cc_label__"])
-            return out.append_column(label_as, comp)
-
-        return joined.map_batches(fill, batch_format="pyarrow")
-
-    def fresh(missing_keys: pa.Array) -> pa.Array:
-        h = (hash64(missing_keys) >> np.uint64(2)) | np.uint64(1 << 62)
-        return pa.array(h.astype(np.int64))
-
-    return bucketed_lookup_join(
-        records,
-        "record_id",
-        labels,
-        key_name="record_id",
-        val_name="component",
-        out_type=pa.int64(),
-        result_name=label_as,
-        on_missing=fresh,
-    )
+    return out if f is None else out.drop_columns([code])
 
 
 def _attach_labels_broadcast(

@@ -280,10 +280,12 @@ def q_connected_components(sf_dir: str):
 
 
 def q_connected_components_star(sf_dir: str):
-    """Same graph as connected_components but labeled via the alternating
-    large-star/small-star rounds (mode='star', O(log n) rounds) — the labels
-    must be identical (component = min member id), checked against the same
-    recursive-CTE oracle."""
+    """Same graph as connected_components but labeled by the distributed
+    path (mode='distributed': large-star/small-star contraction, O(log n)
+    rounds) instead of the driver union-find that mode='auto' picks at this
+    size — the labels must be identical (component = min member id), so
+    this oracles the distributed path against the same recursive-CTE
+    oracle."""
     from mismo_ray.cluster import connected_components
     from mismo_ray.linker import KeyLinker, OrLinker
 
@@ -297,7 +299,7 @@ def q_connected_components_star(sf_dir: str):
     linkage = blocker(parts, parts)
     labeled = connected_components(
         links=linkage.links_ds, records=parts, label_as="component",
-        mode="star",
+        mode="distributed",
     )
     return labeled.select_columns(["record_id", "component"])
 
@@ -325,7 +327,6 @@ def q_connected_components_str(sf_dir: str):
         links=linkage.links_ds,
         records=recs.select_columns(["record_id"]),
         mode="distributed",
-        driver_threshold=0,
         factorize_broadcast_threshold=0,
     )
     mins = labeled.groupby("component").aggregate(
@@ -3614,11 +3615,13 @@ def _mmr_oracle_sql(k: int = 8, pool_n: int = 50) -> str:
     return (
         "WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb "
         " FROM embeddings WHERE embedding IS NOT NULL AND vec_id <> 0), "
-        # the engine returns empty for an absent/null/zero-norm query; a
-        # null or zero qe makes every rel NULL/nan here, so the isfinite
-        # pool filter below produces the same empty greedy chain
-        "q AS (SELECT CAST(embedding AS DOUBLE[]) AS qe FROM embeddings "
-        " WHERE vec_id = 0 AND embedding IS NOT NULL), "
+        # the engine returns empty for an absent/null/zero-norm query; q
+        # keeps only a query with a positive norm (DuckDB's cosine against
+        # a zero vector is a finite -1, not NULL), so such a query leaves
+        # q, the pool and every greedy step empty
+        "q AS (SELECT qe FROM (SELECT CAST(embedding AS DOUBLE[]) AS qe "
+        " FROM embeddings WHERE vec_id = 0 AND embedding IS NOT NULL) "
+        " WHERE list_cosine_similarity(qe, qe) > 0), "
         "rel0 AS (SELECT vec_id, emb, list_cosine_similarity(emb, qe) AS rel "
         " FROM e, q), "
         "pool AS MATERIALIZED (SELECT * FROM rel0 "

@@ -34,6 +34,7 @@ join recover the verdicts — no driver collect of either side.
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
@@ -145,14 +146,17 @@ def _verdicts_for_host(
 
 
 # per-worker parse cache: robots bodies re-parse once per (host, agent,
-# body) per worker process, not once per batch — keyed on the body hash so
+# body) per worker process, not once per batch — keyed on the body digest so
 # a changed robots.txt (new broadcast) can't serve stale rules
 _RULE_CACHE: dict = {}
 _RULE_CACHE_CAP = 100_000
 
 
 def _cached_rules(host: str, txt: str, agent: str):
-    key = (agent, host, hash(txt))
+    # a real digest: a colliding 64-bit hash() would serve another body's
+    # rules after a robots-map update
+    digest = hashlib.blake2b((txt or "").encode(), digest_size=16).digest()
+    key = (agent, host, digest)
     rules = _RULE_CACHE.get(key)
     if rules is None:
         if len(_RULE_CACHE) >= _RULE_CACHE_CAP:

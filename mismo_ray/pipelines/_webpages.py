@@ -458,7 +458,10 @@ def run_er_pipeline(
 
     Returns dict with the labeled records Dataset, scored links Dataset,
     fitted weights and counters. ``pages`` must already carry
-    ``extracted_text`` + features (see add_extracted_text / featurize).
+    ``extracted_text`` + features (see add_extracted_text / featurize), and
+    should be materialized: the job consumes it about a dozen times
+    (blocking, pair features, training, label attach), and a lazy Dataset
+    re-runs its whole read -> extract -> featurize lineage each time.
     """
     from mismo_ray.linker._or_linker import OrLinker
     from mismo_ray.linker._sorted_neighborhood import SortedNeighborhoodLinker
@@ -541,6 +544,9 @@ def run_er_pipeline(
             links=linkage.links_ds.materialize(),
             links_schema=linkage.links.schema,
         )
+        # pairs generated == comparisons scored: every candidate goes
+        # through compare+score once (a materialized count runs nothing)
+        counters["pairs_generated"] = linkage.links_ds.count()
 
         pairs = linkage.links.with_both(PAIR_COLUMNS, PAIR_COLUMNS)
 
@@ -603,9 +609,6 @@ def run_er_pipeline(
     else:
         scored = weights.compare_and_score(pairs, comparers)
         matches = scored.map_batches(keep, batch_format="pyarrow").materialize()
-        # north_rule counters: pairs generated == comparisons scored (every
-        # candidate goes through compare+score in one pass), matches kept
-        counters["pairs_generated"] = linkage.links_ds.count()
         counters["pairs_matched"] = matches.count()
     if ckpt is not None:
         # links-only checkpoint: the resume branch above reads ONLY
@@ -642,7 +645,7 @@ def run_er_pipeline(
 
 
 def flagship(sf_dir: str, **kwargs) -> dict:
-    pages = featurize(add_extracted_text(load_pages(sf_dir)))
+    pages = featurize(add_extracted_text(load_pages(sf_dir))).materialize()
     return run_er_pipeline(pages, **kwargs)
 
 

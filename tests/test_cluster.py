@@ -112,7 +112,7 @@ def test_cc_struct_ids(ray_session):
 def test_cc_string_ids_join_path(ray_session):
     """Force the corpus-scale path end to end: no broadcast dict anywhere —
     Factorizer encode/decode and singleton label attach all run as bucketed
-    lookup joins (factorize_broadcast_threshold=0, driver_threshold=0)."""
+    lookup joins (mode="distributed", factorize_broadcast_threshold=0)."""
     links = edges_ds(
         [("a", "x"), ("b", "x"), ("b", "y"), ("c", "y"), ("g", "h")],
         id_type=pa.string(),
@@ -132,7 +132,6 @@ def test_cc_string_ids_join_path(ray_session):
         links=links,
         records=records,
         mode="distributed",
-        driver_threshold=0,
         factorize_broadcast_threshold=0,
     )
     rows = labeled.take_all()
@@ -157,7 +156,6 @@ def test_cc_struct_ids_join_path(ray_session):
     labels = connected_components(
         links=links,
         mode="distributed",
-        driver_threshold=0,
         factorize_broadcast_threshold=0,
     )
     rows = labels.take_all()
@@ -272,9 +270,9 @@ def test_subgraph(ray_session):
 
 
 def test_cc_star_chain_converges_in_log_rounds(ray_session):
-    """Diameter-120 chain: star mode must finish within 12 rounds (O(log n));
-    min-propagation would need ~120. Labels = min member id, same as driver
-    union-find."""
+    """Diameter-120 chain: the distributed (star contraction) path must
+    finish within 12 rounds (O(log n)); min-propagation would need ~120.
+    Labels = min member id, same as driver union-find."""
     import pyarrow as pa
 
     from mismo_ray.cluster import connected_components
@@ -288,7 +286,7 @@ def test_cc_star_chain_converges_in_log_rounds(ray_session):
             }
         )
     ).repartition(4)
-    out = connected_components(links=links, mode="star", max_iter=12).take_all()
+    out = connected_components(links=links, mode="distributed", max_iter=12).take_all()
     comp = {r["record_id"]: r["component"] for r in out}
     assert all(comp[i] == 0 for i in range(121))
     assert all(comp[i] == 500 for i in range(500, 561))
@@ -314,7 +312,7 @@ def test_cc_star_matches_driver_random_graph(ray_session):
             }
         )
     ).repartition(3)
-    star = connected_components(links=links, mode="star").take_all()
+    star = connected_components(links=links, mode="distributed").take_all()
     drv = connected_components(links=links, mode="driver").take_all()
     assert {r["record_id"]: r["component"] for r in star} == {
         r["record_id"]: r["component"] for r in drv

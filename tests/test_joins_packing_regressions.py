@@ -189,6 +189,9 @@ def test_cc_label_as_collision_raises(ray_session):
     assert sorted(out["cluster"].tolist()) == [1, 1]
     with pytest.raises(ValueError, match="mode"):
         connected_components(links=links, mode="Star")
+    # star contraction is the distributed path, not a mode of its own
+    with pytest.raises(ValueError, match="mode"):
+        connected_components(links=links, mode="star")
 
 
 def test_cc_list_ids_clear_error(ray_session):

@@ -207,3 +207,34 @@ def test_duplicate_id_rows_select_each_id_once(ray_session):
     assert sorted(got["vec_id"].to_pylist()) == [5, 7, 9]
     got2 = mmr_select(ds, [1.0, 0.0], k=3, pool_n=4)
     assert sorted(got2["vec_id"].to_pylist()) == [5, 7, 9]
+
+
+def test_mmr_query_and_oracle_agree_on_zero_norm_query(ray_session, tmp_path):
+    # vec_id 0 is the query; a zero vector has no direction, so the engine
+    # query and its SQL oracle must both select nothing
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from mismo_ray.driver_queries import _mmr_oracle_sql, q_mmr_select
+
+    rng = np.random.default_rng(4)
+    vecs = [[0.0] * 4] + rng.normal(size=(20, 4)).tolist()
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(range(len(vecs)), type=pa.int64()),
+                "embedding": pa.array(vecs, type=pa.list_(pa.float32())),
+                "label": pa.array([0] * len(vecs), type=pa.int32()),
+            }
+        ),
+        str(tmp_path / "embeddings.parquet"),
+    )
+    got = q_mmr_select(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW embeddings AS SELECT * FROM "
+        f"read_parquet('{tmp_path / 'embeddings.parquet'}')"
+    )
+    want = con.execute(_mmr_oracle_sql(k=8, pool_n=50)).df()
+    assert len(got) == 0
+    assert len(want) == 0

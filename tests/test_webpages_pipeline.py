@@ -117,7 +117,10 @@ def test_partition_level_resume(ray_session, pages, tmp_path):
     """A run killed mid-scoring resumes recomputing ONLY the unfinished
     partitions (asserted via the partitions_computed/skipped counters), and
     produces the identical scored-link set."""
+    import glob
     import shutil
+
+    import pyarrow.parquet as pq
 
     ck = str(tmp_path / "ck")
     result = run_er_pipeline(
@@ -127,6 +130,12 @@ def test_partition_level_resume(ray_session, pages, tmp_path):
     n_links = result["links"].count()
     assert result["counters"]["partitions_computed"] == 8
     assert result["counters"]["partitions_skipped"] == 0
+    # the checkpointed run counts its candidate pairs: one per pairs/ row
+    n_pairs = sum(
+        pq.ParquetFile(f).metadata.num_rows
+        for f in glob.glob(f"{ck}/pairs/**/*.parquet", recursive=True)
+    )
+    assert result["counters"]["pairs_generated"] == n_pairs > 0
     # consume the link set now — the deletions below would break the lazy read
     s1 = {
         (r["record_id_l"], r["record_id_r"])
