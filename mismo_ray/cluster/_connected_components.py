@@ -236,7 +236,9 @@ class Factorizer:
         )
         self.n_codes = self.coded.count()
         if self.n_codes <= broadcast_threshold:
-            pdf = self.coded.to_pandas()
+            # zero collected rows carry no columns: an empty vocabulary
+            # must still give an (empty) mapping
+            pdf = self.coded.to_pandas().reindex(columns=["record_id", "code"])
             self.mapping = dict(zip(pdf["record_id"].map(_hashable), pdf["code"]))
             self._decode = {v: k for k, v in self.mapping.items()}
 

@@ -30,15 +30,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+# whitespace run: the class is EXPLICIT ASCII, not \s: Python's \s (and
+# str.split) is Unicode-wide (VT, NBSP, LS/PS, \x1c-\x1f) while
+# RE2/DuckDB's \s is [\t\n\f\r ] only — the explicit class keeps token
+# and sentence splits byte-identical on both engines.
+_WS = r"[\t\n\f\r ]+"
+_WS_RUN = re.compile(_WS)
 # sentence boundary: terminal punctuation followed by whitespace. The
-# whitespace class is EXPLICIT ASCII, not \s: Python's \s is Unicode-wide
-# (VT, NBSP, LS/PS, \x1c-\x1f) while RE2/DuckDB's \s is [\t\n\f\r ] only —
-# the explicit class keeps the rule byte-identical on both engines. The
 # marker-replace form ('\1' + US control char, then split) is what RE2 can
 # express too (no lookbehind): regexp_replace(text,
 # '([.!?])[\t\n\f\r ]+', '\1' || chr(31), 'g'). The US character itself
 # (0x1F) is RESERVED: it is stripped from input text before marking.
-_SENT_BOUNDARY = re.compile(r"([.!?])[\t\n\f\r ]+")
+_SENT_BOUNDARY = re.compile("([.!?])" + _WS)
 _UNIT_SEP = "\x1f"
 
 
@@ -55,10 +58,12 @@ def chunk_documents(
 ) -> ray.data.Dataset:
     """(id, chunk_id, text, n_units) rows: overlapping unit windows.
 
-    ``unit="token"``: units are whitespace runs (``str.split`` semantics:
-    leading/trailing whitespace dropped). ``unit="sentence"``: units are
-    sentences (split after ``[.!?]`` + whitespace; ``max_tokens`` /
-    ``overlap`` then count SENTENCES per window). Chunk text is the
+    ``unit="token"``: units are the runs between ``[\\t\\n\\f\\r ]``
+    whitespace (RE2's ``\\s``: VT, NBSP and other Unicode spaces stay
+    inside a token; leading/trailing whitespace dropped).
+    ``unit="sentence"``: units are sentences (split after ``[.!?]`` +
+    whitespace; ``max_tokens`` / ``overlap`` then count SENTENCES per
+    window). Chunk text is the
     window's units joined with a single space — a byte-deterministic,
     engine-independent contract (DuckDB: ``array_to_string(list_slice(...),
     ' ')``).  ``overlap`` units are shared between consecutive chunks
@@ -88,14 +93,11 @@ def chunk_documents(
                 .str.split(_UNIT_SEP)
             )
         else:
-            toks = texts.str.split()
+            toks = texts.str.split(_WS_RUN)
         ex = toks.explode()
-        ex = ex[ex.notna()]
-        if unit == "sentence":
-            # trailing boundaries yield empty units that must not become
-            # chunks (token mode's str.split can never produce empties —
-            # skip the scan on the hot default path)
-            ex = ex[ex != ""]
+        # leading/trailing whitespace and trailing boundaries yield empty
+        # units that must not become chunks
+        ex = ex[ex.notna() & (ex != "")]
         erows = ex.index.to_numpy(dtype=np.int64)
         ntok = np.bincount(erows, minlength=n).astype(np.int64)
         n_chunks = np.where(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -9,11 +11,13 @@ from mismo_ray.textstats import chunk_documents
 
 
 def _ref_chunks(docs, max_tokens, overlap):
-    """Per-row python reference of the chunking contract."""
+    r"""Per-row python reference of the chunking contract. Tokens split on
+    RE2's ``\s`` class ``[\t\n\f\r ]``, as the SQL oracle's
+    ``string_split_regex(text, '\s+')`` does: VT and NBSP stay inside."""
     stride = max_tokens - overlap
     out = []
     for doc_id, text in docs:
-        toks = text.split() if text is not None else []
+        toks = [t for t in re.split(r"[\t\n\f\r ]+", text or "") if t]
         n = len(toks)
         if n == 0:
             continue
@@ -49,6 +53,7 @@ def test_chunk_matches_reference(ray_session):
         n = int(rng.integers(0, 40))
         docs.append((i, " ".join(f"w{rng.integers(0, 9)}" for _ in range(n))))
     docs += [(100, None), (101, ""), (102, "   "), (103, "solo")]
+    docs += [(104, " vt\x0bjoined nbsp\xa0joined\tw1\r\nw2\x0c ")]
     for max_tokens, overlap in [(8, 0), (8, 3), (5, 4), (1, 0), (64, 16)]:
         got = _run(docs, max_tokens=max_tokens, overlap=overlap)
         want = _ref_chunks(docs, max_tokens, overlap)

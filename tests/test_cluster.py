@@ -90,6 +90,17 @@ def test_cc_string_ids(ray_session, mode):
     assert got == {frozenset({"a", "b", "c", "x", "y"}), frozenset({"g", "h"})}
 
 
+def test_cc_string_ids_empty_distributed(ray_session):
+    """An empty string-id vocabulary factorizes to an empty mapping (zero
+    collected rows carry no columns)."""
+    links = edges_ds([], id_type=pa.string())
+    records = ray.data.from_arrow(
+        pa.table({"record_id": pa.array([], type=pa.string())})
+    )
+    out = connected_components(links=links, records=records, mode="distributed")
+    assert out.count() == 0
+
+
 def test_cc_struct_ids(ray_session):
     id_type = pa.struct([("dataset", pa.string()), ("record_id", pa.int64())])
     mk = lambda d, i: {"dataset": d, "record_id": i}

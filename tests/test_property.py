@@ -131,12 +131,18 @@ def test_hash_join_matches_pandas(left, right, how):
 @pytest.mark.usefixtures("ray_session")
 @settings(**SETTINGS)
 @given(
-    vals=st.lists(st.integers(0, 50), min_size=0, max_size=30, unique=True),
+    vals=st.lists(
+        st.one_of(st.integers(0, 10), st.none()), min_size=0, max_size=30
+    ),
     window=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(["one", "row_per_block", "sixteen"]),
 )
-def test_sorted_neighborhood_matches_bruteforce(vals, window):
+def test_sorted_neighborhood_matches_bruteforce(vals, window, layout):
+    # tied keys break on record_id; null keys are never paired; one-row
+    # input blocks make sorted blocks smaller than the window
     ids = list(range(len(vals)))
-    order = sorted(ids, key=lambda i: (vals[i], i))
+    keyed = [i for i in ids if vals[i] is not None]
+    order = sorted(keyed, key=lambda i: (vals[i], i))
     expected = set()
     for pos in range(len(order)):
         for d in range(1, window + 1):
@@ -146,16 +152,18 @@ def test_sorted_neighborhood_matches_bruteforce(vals, window):
     ds = ray.data.from_arrow(
         pa.table({"record_id": ids, "v": pa.array(vals, type=pa.int64())})
     )
-    got = rows_set(
-        SortedNeighborhoodLinker("v", window=window)(ds, ds).links_ds,
-        ["record_id_l", "record_id_r"],
-    )
-    assert got == expected
+    if vals:
+        n_blocks = {"one": 1, "row_per_block": len(vals), "sixteen": 16}[layout]
+        ds = ds.repartition(n_blocks)
+    links = SortedNeighborhoodLinker("v", window=window)(ds, ds).links_ds
+    # nothing dedupes SN output: each pair must be emitted exactly once
+    assert links.count() == len(expected)
+    assert rows_set(links, ["record_id_l", "record_id_r"]) == expected
 
 
 def test_sorted_neighborhood_many_blocks(ray_session):
-    """SN boundary stitching across many sorted blocks (the cross-block pairs
-    come from the driver-side boundary-row pass)."""
+    """SN across many sorted blocks: the cross-block pairs come from each
+    block's task reading the heads of the blocks that follow it."""
     n, w = 2000, 3
     vals = [(i * 7919) % 10007 for i in range(n)]  # unique, scrambled
     ids = list(range(n))
