@@ -262,32 +262,122 @@ def minhash_lsh_keys(
     return band_keys_from_signatures(sig, valid, n_bands=n_bands)[0]
 
 
+def _factorize_pair_sides(vals_l, vals_r) -> tuple[np.ndarray, np.ndarray, list]:
+    """Codes of both sides into ONE list of unique values (-1 = null), via
+    ``pc.dictionary_encode`` of each side and of their two dictionaries."""
+
+    def encode(v) -> tuple[np.ndarray, pa.Array]:
+        if isinstance(v, pa.ChunkedArray):
+            v = v.combine_chunks()
+        if not isinstance(v, pa.Array) or pa.types.is_null(v.type):
+            v = pa.array(v, type=pa.large_string())
+        d = pc.dictionary_encode(v)
+        idx = pc.fill_null(d.indices, -1).to_numpy(zero_copy_only=False)
+        return idx.astype(np.int64), d.dictionary.cast(pa.large_string())
+
+    idx_l, dict_l = encode(vals_l)
+    idx_r, dict_r = encode(vals_r)
+    both = pc.dictionary_encode(pa.concat_arrays([dict_l, dict_r]))
+    remap = both.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    # a trailing -1 makes index -1 (null) map to -1
+    map_l = np.append(remap[: len(dict_l)], -1)
+    map_r = np.append(remap[len(dict_l) :], -1)
+    return map_l[idx_l], map_r[idx_r], both.dictionary.to_pylist()
+
+
+# posting-run pair keys enumerated per step of ``_overlaps_from_postings``
+# (bounds its temporaries to a few tens of MB)
+_POSTING_CHUNK = 1 << 20
+
+
+def _overlaps_per_pair(sets: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|A & B| per pair (a[i], b[i]): one ``np.intersect1d`` each."""
+    return np.fromiter(
+        (
+            np.intersect1d(sets[x], sets[y], assume_unique=True).size
+            for x, y in zip(a.tolist(), b.tolist())
+        ),
+        dtype=np.int64,
+        count=len(a),
+    )
+
+
+def _overlaps_from_postings(
+    owner: np.ndarray, run: np.ndarray, df: np.ndarray, n_values: int,
+    a: np.ndarray, b: np.ndarray,
+) -> np.ndarray:
+    """|A & B| per pair (a[i], b[i]) of distinct values, from the posting
+    runs of the hash-sorted shingles: ``owner[x]`` is the value holding
+    sorted shingle x, ``run[x]`` its run of equal hashes (owners ascending
+    within a run), ``df`` the run lengths. Every owner pair of a run shares
+    that shingle, so the overlap is the number of runs holding both: the
+    sum over runs of df(df-1)/2 pair keys, enumerated ``_POSTING_CHUNK`` at
+    a time and counted for the requested keys only."""
+    want, inv = np.unique(
+        np.minimum(a, b) * n_values + np.maximum(a, b), return_inverse=True
+    )
+    counts = np.zeros(len(want), dtype=np.int64)
+    # sorted shingle x pairs with x+1 .. (end of its run) - 1
+    after = np.cumsum(df)[run] - np.arange(len(run)) - 1
+    xs = np.flatnonzero(after)
+    cnt = after[xs]
+    cum = np.cumsum(cnt)
+    lo = 0
+    while lo < len(xs) and len(want):
+        done = cum[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(cum, done + _POSTING_CHUNK, side="right")), lo + 1)
+        c = cnt[lo:hi]
+        x = np.repeat(xs[lo:hi], c)
+        y = x + 1 + np.arange(len(x)) - np.repeat(np.cumsum(c) - c, c)
+        keys = owner[x] * n_values + owner[y]
+        pos = np.minimum(np.searchsorted(want, keys), len(want) - 1)
+        hit = want[pos] == keys
+        counts += np.bincount(pos[hit], minlength=len(want))
+        lo = hi
+    return counts[inv]
+
+
 def hash_set_jaccard_batch(
-    vals_l: list, vals_r: list, shingle_fn: Callable[[str], np.ndarray]
+    vals_l, vals_r, shingle_fn: Callable[[str], np.ndarray]
 ) -> np.ndarray:
     """Exact set-jaccard per pair over uint64 shingle hashes (collision-free
-    whp): one sorted-unique hash array per UNIQUE value in the batch
-    (memoized — near-dup candidates repeat the same records many times), then
-    a C-speed ``np.intersect1d`` per pair. No python string churn, no per-pair
-    re-shingling. Empty-vs-anything = 0.0 (matches ``sets.jaccard``); a null
-    on either side = 0.0 (candidates never have null keys)."""
-    cache: dict[str, np.ndarray] = {}
-
-    def hs(s: str) -> np.ndarray:
-        arr = cache.get(s)
-        if arr is None:
-            arr = np.unique(shingle_fn(s))
-            cache[s] = arr
-        return arr
-
-    out = np.zeros(len(vals_l), dtype=np.float64)
-    for i, (a, b) in enumerate(zip(vals_l, vals_r)):
-        if a is None or b is None:
-            continue
-        ha, hb = hs(a), hs(b)
-        inter = np.intersect1d(ha, hb, assume_unique=True).size
-        if inter:
-            out[i] = inter / (ha.size + hb.size - inter)
+    whp). ``vals_l`` / ``vals_r``: equal-length lists or Arrow string arrays.
+    Both sides are factorized with ``pc.dictionary_encode`` and each unique
+    value is shingled once (near-dup candidates and EM's record sample
+    repeat the same records many times). Overlaps are counted from the runs
+    of the hash-sorted shingles of all values (cost: sum of df^2 over the
+    shingles), or per pair with a C-speed ``np.intersect1d`` when that sum
+    exceeds the per-pair work, sum of min(|A|, |B|) — a shingle shared by
+    most values (boilerplate) makes the posting runs quadratic. Empty-vs-
+    anything = 0.0 (matches ``sets.jaccard``); a null on either side = 0.0
+    (candidates never have null keys)."""
+    codes_l, codes_r, uniq = _factorize_pair_sides(vals_l, vals_r)
+    out = np.zeros(len(codes_l), dtype=np.float64)
+    ok = np.flatnonzero((codes_l >= 0) & (codes_r >= 0))
+    if not len(ok):
+        return out
+    a, b = codes_l[ok], codes_r[ok]
+    used = np.unique(np.r_[a, b])  # values of non-null pairs only
+    sets: list = [None] * len(uniq)
+    for u in used.tolist():
+        sets[u] = np.unique(shingle_fn(uniq[u]))
+    sizes = np.zeros(len(uniq), dtype=np.int64)
+    sizes[used] = [len(sets[u]) for u in used.tolist()]
+    hashes = np.concatenate([sets[u] for u in used.tolist()])
+    order = np.argsort(hashes, kind="stable")
+    hashes = hashes[order]
+    owner = np.repeat(used, sizes[used])[order]
+    run = np.zeros(len(hashes), dtype=np.int64)
+    run[1:] = np.cumsum(hashes[1:] != hashes[:-1])
+    df = np.bincount(run)
+    inter = sizes[a]  # |A & A| = |A|
+    d = np.flatnonzero(a != b)
+    if int((df * df).sum()) <= int(np.minimum(sizes[a], sizes[b]).sum()):
+        inter[d] = _overlaps_from_postings(owner, run, df, len(uniq), a[d], b[d])
+    else:
+        inter[d] = _overlaps_per_pair(sets, a[d], b[d])
+    hit = inter > 0
+    out[ok[hit]] = inter[hit] / (sizes[a[hit]] + sizes[b[hit]] - inter[hit])
     return out
 
 

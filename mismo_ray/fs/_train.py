@@ -9,9 +9,17 @@ Semantics pinned by the reference:
   "assume sampled pairs are non-matches" (_train.py:44-76);
 - ``make_weights`` removes the else level (_train.py:271-280).
 
-Ray mapping: pair generation + labeling run distributed; the per-level
-histograms are tiny and are computed with a groupby-count collected to the
-driver (the sample is bounded by max_pairs by construction).
+Ray mapping. The u-sample (and EM's whole sample, ``_train_em``) is
+labelled by ``sample_labels``: the driver collects the sampled records of
+``linker._sample.sample_sides`` (~sqrt(max_pairs) per side, only the compared
+columns), sorts them by record_id and ``ray.put``s them once; ``ray.remote``
+tasks then enumerate fixed ranges of pair indices (``i < j`` for dedupe,
+``i x j`` for link), ``take`` their pair slice from the shared sample and
+run the comparers on it. No pair Dataset is built. The m-sample of true
+pairs is a Linkage of arbitrary pairs: its records are collected with a
+map-only filter and attached per link batch (``_pairs_broadcast``). The
+label matrices are collected to the driver, where the per-level histograms
+are numpy bincounts.
 """
 
 from __future__ import annotations
@@ -19,27 +27,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
 from mismo_ray.compare import LevelComparer, compare
 from mismo_ray.fs._weights import ComparerWeights, LevelWeights, Weights
 from mismo_ray.linker._key_linker import KeyLinker
-from mismo_ray.linker._sample import sample_all_links
+from mismo_ray.linker._sample import sample_sides
 from mismo_ray.types import Linkage
+
+# pairs labelled per remote task of ``sample_labels``
+_LABEL_TASK_PAIRS = 1 << 16
 
 
 def level_proportions(levels: Sequence[str], labels) -> list[float]:
     """Proportion of labels per level (integer labels over the full level
     list), add-one smoothed for unseen levels."""
     n_levels = len(levels)
-    if isinstance(labels, ray.data.Dataset):
-        labels = np.concatenate(
-            [
-                b["label"].to_numpy(zero_copy_only=False)
-                for b in labels.iter_batches(batch_format="pyarrow")
-            ]
-            or [np.array([], dtype=np.int64)]
-        )
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         if labels.dtype.kind == "f":
@@ -77,10 +83,6 @@ def _pairs_broadcast(linkage: Linkage, columns: Sequence[str]) -> "ray.data.Data
     construction, so the referenced records fit a broadcast — collect them
     via a map-only filter pass, then ``pc.index_in`` + ``take`` per link
     batch (no joins, no corpus reshuffle)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from mismo_ray._joins import broadcast_isin
 
     links = linkage.links_ds
@@ -131,15 +133,100 @@ def _pairs_broadcast(linkage: Linkage, columns: Sequence[str]) -> "ray.data.Data
     return links.map_batches(assemble, batch_format="pyarrow")
 
 
+def _collect_sorted(ds: ray.data.Dataset, columns) -> pa.Table | None:
+    """``ds`` (record_id + ``columns``, or every column) as one table sorted
+    by record_id; None when it has no rows. Zero-row blocks are skipped:
+    Ray's shuffles emit them without columns."""
+    if columns is not None:
+        ds = ds.select_columns(["record_id", *columns])
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if not tables:
+        return None
+    t = pa.concat_tables(tables, promote_options="default")
+    return t.take(pc.sort_indices(t, [("record_id", "ascending")]))
+
+
+@ray.remote
+def _label_range(sides, comparers, dedupe: bool, start: int, stop: int) -> list:
+    """Labels of pairs ``start..stop-1`` of the sample's pair enumeration:
+    row-major ``i < j`` over the one sorted side (dedupe, so
+    ``record_id_l < record_id_r``), else row-major ``i x j``."""
+    sl, sr = sides
+    p = np.arange(start, stop, dtype=np.int64)
+    if dedupe:
+        n = sl.num_rows
+        rows = np.arange(n, dtype=np.int64)
+        first = rows * n - rows * (rows + 1) // 2  # index of pair (i, i + 1)
+        i = np.searchsorted(first, p, side="right") - 1
+        j = p - first[i] + i + 1
+    else:
+        i, j = np.divmod(p, sr.num_rows)
+    batch = pa.table(
+        {
+            f"{c}{suffix}": side[c].take(rows)
+            for side, rows, suffix in ((sl, i, "_l"), (sr, j, "_r"))
+            for c in side.column_names
+        }
+    )
+    return [c.label_batch(batch).to_numpy(zero_copy_only=False) for c in comparers]
+
+
+def sample_labels(
+    comparers: Sequence[LevelComparer],
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    *,
+    max_pairs: int = 1_000_000,
+    seed: int = 0,
+    columns: Sequence[str] | None = None,
+) -> np.ndarray:
+    """(n_pairs, n_comparers) level labels of the pair sample of
+    ``sample_all_links`` (same pairs, same orientation; row order may
+    differ). ``columns``: the record columns the comparers read (default:
+    every column).
+
+    The sampled sides are collected once, sorted by record_id and shared
+    with ``ray.put``; each remote task labels a fixed range of
+    ``_LABEL_TASK_PAIRS`` pair indices, building its slice with ``take``."""
+    comparers = list(comparers)
+    n_pairs = 0
+    sides = sample_sides(left, right, max_pairs=max_pairs, seed=seed)
+    if sides is not None:
+        task, sub_l, sub_r, _ = sides
+        dedupe = task == "dedupe"
+        sl = _collect_sorted(sub_l, columns)
+        sr = sl if dedupe else _collect_sorted(sub_r, columns)
+        if sl is not None and sr is not None:
+            n_l, n_r = sl.num_rows, sr.num_rows
+            n_pairs = n_l * (n_l - 1) // 2 if dedupe else n_l * n_r
+    if not n_pairs:
+        return np.stack([np.array([], dtype=np.int64) for _ in comparers], axis=1)
+    sides_ref = ray.put((sl, sr))
+    comparers_ref = ray.put(comparers)
+    parts = ray.get(
+        [
+            _label_range.remote(
+                sides_ref, comparers_ref, dedupe, start,
+                min(start + _LABEL_TASK_PAIRS, n_pairs),
+            )
+            for start in range(0, n_pairs, _LABEL_TASK_PAIRS)
+        ]
+    )
+    return np.stack(
+        [np.concatenate([part[k] for part in parts]) for k in range(len(comparers))],
+        axis=1,
+    )
+
+
 def _labels_matrix(
     linkage: Linkage,
     comparers: Sequence[LevelComparer],
     columns: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """(n_pairs, n_comparers) integer level labels, computed distributed and
-    collected (sample-sized by construction). With ``columns`` given, pair
-    assembly uses the broadcast path (no corpus shuffle — the right call for
-    bounded training samples); otherwise the general with_both joins."""
+    """(n_pairs, n_comparers) integer level labels of the true-pair sample
+    ``linkage``, computed distributed and collected (sample-sized by
+    construction). With ``columns`` given, pair assembly uses the broadcast
+    path (no corpus shuffle); otherwise the general with_both joins."""
     # pin the sample links: the pair-assembly consumes them (twice on the
     # join path) and a lazy pair DAG would be re-executed per consumption
     linkage = Linkage(
@@ -202,9 +289,6 @@ def train_using_labels(
         # (record_id_l, record_id_r) pair — sampling by left record would
         # keep/drop whole clusters together and bias m-weights when cluster
         # sizes are skewed (reference samples pairs uniformly)
-        import numpy as np
-        import pyarrow as pa
-
         from mismo_ray._util import combine_hash_columns
 
         thresh = np.uint64(int(min(1.0, max_pairs / n_true) * 2**64))
@@ -220,8 +304,9 @@ def train_using_labels(
         tp = Linkage(left=tp.left, right=tp.right, links=links)
     m_labels = _labels_matrix(tp, comparers, columns)
     # ---- u: random pair sample, assumed non-matches
-    us_sample = sample_all_links(left, right, max_pairs=max_pairs, seed=seed)
-    u_labels = _labels_matrix(us_sample, comparers, columns)
+    u_labels = sample_labels(
+        comparers, left, right, max_pairs=max_pairs, seed=seed, columns=columns
+    )
     out = []
     for i, c in enumerate(comparers):
         ms = level_proportions(c.levels, m_labels[:, i])
@@ -245,8 +330,9 @@ def train_using_pairs(
     comparers = list(comparers)
     tp = Linkage(left=left, right=right, links=true_links)
     m_labels = _labels_matrix(tp, comparers, columns)
-    us_sample = sample_all_links(left, right, max_pairs=max_pairs, seed=seed)
-    u_labels = _labels_matrix(us_sample, comparers, columns)
+    u_labels = sample_labels(
+        comparers, left, right, max_pairs=max_pairs, seed=seed, columns=columns
+    )
     out = []
     for i, c in enumerate(comparers):
         out.append(

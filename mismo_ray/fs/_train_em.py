@@ -5,10 +5,13 @@ uniform (1/n_levels); run **5 fixed iterations**; each iteration scores the
 sample, splits at odds >= 10, and re-estimates m/u from the match/non-match
 partitions with add-one smoothing.
 
-Ray mapping: the pair sample (bounded by max_pairs) is generated, joined and
-labeled distributed ONCE; the label matrix is then collected and the 5 EM
-rounds run as numpy bincounts on the driver — the reference likewise
-materializes the sample (cache(), _train_em.py:48-49) before looping.
+Ray mapping: the pair sample (bounded by max_pairs) is labelled ONCE by
+``fs._train.sample_labels``: the ~sqrt(max_pairs) sampled records are
+collected and shared, and a few ``ray.remote`` tasks each label a fixed
+range of pair indices — no pair Dataset. The label matrix is collected and
+the 5 EM rounds run as numpy bincounts on the driver — the reference
+likewise materializes the sample (cache(), _train_em.py:48-49) before
+looping.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import numpy as np
 import ray.data
 
 from mismo_ray.compare import LevelComparer
-from mismo_ray.fs._train import _labels_matrix, level_proportions, make_weights
+from mismo_ray.fs._train import level_proportions, make_weights, sample_labels
 from mismo_ray.fs._weights import Weights
-from mismo_ray.linker._sample import sample_all_links
 
 
 def train_using_em(
@@ -36,8 +38,9 @@ def train_using_em(
     columns=None,
 ) -> Weights:
     comparers = list(comparers)
-    sample = sample_all_links(left, right, max_pairs=max_pairs, seed=seed)
-    labels = _labels_matrix(sample, comparers, columns)  # (n_pairs, n_comparers)
+    labels = sample_labels(  # (n_pairs, n_comparers)
+        comparers, left, right, max_pairs=max_pairs, seed=seed, columns=columns
+    )
     weights = Weights(
         [
             make_weights(

@@ -7,7 +7,9 @@ index, so we instead take a deterministic hash-based record sample of each
 side (~sqrt(max_pairs) records) and emit its cross product — the same
 estimator splink uses for u-training (sample records, cross join). All
 randomness derives from (seed, record_id) hashes: stable across parallelism
-levels (SURVEY §4 determinism).
+levels (SURVEY §4 determinism). ``sample_sides`` defines which records are
+sampled; ``sample_all_links`` and the training label sample
+(``fs._train.sample_labels``) both enumerate the pairs of its sides.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pyarrow as pa
 import ray.data
 
 from mismo_ray._util import hash64
+from mismo_ray.linker._common import Task
 from mismo_ray.types import Linkage
 
 
@@ -41,6 +44,36 @@ def sample_records(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def sample_sides(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    *,
+    max_pairs: int = 1_000_000,
+    seed: int = 0,
+) -> tuple[Task, ray.data.Dataset, ray.data.Dataset, int] | None:
+    """The records whose pair product is the pair sample:
+    ``(task, sub_l, sub_r, k)``, or None when the product is empty.
+
+    ``task`` is "dedupe" (pairs ``record_id_l < record_id_r`` within
+    ``sub_l``, which is then also ``sub_r``) when both sides are the same
+    Dataset, else "link". When the full product fits ``max_pairs`` the sides
+    are the inputs themselves and ``k`` is 0; otherwise each side is a hash
+    sample of ``k = isqrt(max_pairs)`` records, seeded ``seed`` (left) and
+    ``seed + 1`` (right)."""
+    same = right is left
+    n_l = left.count()
+    n_r = n_l if same else right.count()
+    if n_l * n_r == 0:
+        return None
+    task: Task = "dedupe" if same else "link"
+    if n_l * n_r <= max_pairs:
+        return task, left, right, 0
+    k = max(2, math.isqrt(max_pairs))
+    sub_l = sample_records(left, min(k, n_l), n_l, seed=seed)
+    sub_r = sub_l if same else sample_records(right, min(k, n_r), n_r, seed=seed + 1)
+    return task, sub_l, sub_r, k
+
+
 def sample_all_links(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -53,30 +86,19 @@ def sample_all_links(
     Dedupe-safe: when both sides are the same Dataset the FullLinker's task
     inference emits unordered non-self pairs.
     """
-    n_l = left.count()
-    n_r = right.count() if right is not left else n_l
-    total = n_l * n_r
-    if total == 0:
-        from mismo_ray.linker._basic import EmptyLinker
+    from mismo_ray.linker._basic import EmptyLinker, FullLinker
 
+    sides = sample_sides(left, right, max_pairs=max_pairs, seed=seed)
+    if sides is None:
         return EmptyLinker()(left, right)
-    from mismo_ray.linker._basic import FullLinker
-
-    if total <= max_pairs:
-        return FullLinker()(left, right)
-    k = max(2, math.isqrt(max_pairs))
-    sub_l = sample_records(left, min(k, n_l), n_l, seed=seed)
-    sub_r = (
-        sub_l
-        if right is left
-        else sample_records(right, min(k, n_r), n_r, seed=seed + 1)
-    )
+    task, sub_l, sub_r, k = sides
+    if not k:
+        return FullLinker(task=task)(left, right)
     # the sampled sides are ~sqrt(max_pairs) rows by construction: when that
     # fits one enumeration task, skip the count/salt pre-pass barriers
-    linkage = FullLinker(
-        task="dedupe" if right is left else "link",
-        salt_rows=None if k <= 2048 else 2048,
-    )(sub_l, sub_r)
+    linkage = FullLinker(task=task, salt_rows=None if k <= 2048 else 2048)(
+        sub_l, sub_r
+    )
     return Linkage(
         left=left, right=right, links=linkage.links_ds,
         links_schema=linkage.links.schema,

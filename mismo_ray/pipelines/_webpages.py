@@ -376,12 +376,10 @@ def webpage_comparers() -> list[LevelComparer]:
         r = memo["ref"]
         if r is not None and r() is t:
             return memo["val"]
-        # memoized hash-shingle sets per unique text (EM's record sample
-        # repeats each text in ~sqrt(max_pairs) pairs) + C-speed intersects
+        # one hash-shingle set per unique text (EM's record sample repeats
+        # each text in ~sqrt(max_pairs) pairs), overlaps from posting runs
         val = hash_set_jaccard_batch(
-            t["extracted_text_l"].to_pylist(),
-            t["extracted_text_r"].to_pylist(),
-            _wordshingle_hashes,
+            t["extracted_text_l"], t["extracted_text_r"], _wordshingle_hashes
         )
         memo["ref"], memo["val"] = weakref.ref(t), val
         return val

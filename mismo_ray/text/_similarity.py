@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 # ---------------------------------------------------------------- scalar fns
@@ -307,18 +308,20 @@ def _jaro_batched(a, b, prefix_weight: float | None, mask=None) -> pa.Array:
     pairs where mask is False are skipped (returned as null) — used to gate
     the expensive kernel on a cheap predicate (e.g. same-page) for free.
     """
-    al, bl = _to_pylist(a), _to_pylist(b)
-    n = len(al)
-    valid = np.array(
-        [x is not None and y is not None for x, y in zip(al, bl)], dtype=bool
+    a, b = (
+        x if isinstance(x, (pa.Array, pa.ChunkedArray)) else pa.array(list(x))
+        for x in (a, b)
     )
+    n = len(a)
+    valid = pc.and_(pc.is_valid(a), pc.is_valid(b)).to_numpy(zero_copy_only=False)
     if mask is not None:
         valid &= np.asarray(mask, dtype=bool)
     idx = np.nonzero(valid)[0]
     out = np.full(n, np.nan)
     if len(idx):
-        sa = [al[i] for i in idx]
-        sb = [bl[i] for i in idx]
+        keep = pa.array(valid)
+        sa = a.filter(keep).to_pylist()
+        sb = b.filter(keep).to_pylist()
         la = np.array([len(s) for s in sa], dtype=np.int32)
         lb = np.array([len(s) for s in sb], dtype=np.int32)
         if max(la.max(initial=0), lb.max(initial=0)) > 512:
@@ -359,10 +362,7 @@ def _jaro_batched(a, b, prefix_weight: float | None, mask=None) -> pa.Array:
                         sjr = sjr + prefix * prefix_weight * (1.0 - sjr)
                 sj[rest] = sjr
             out[idx] = sj
-    return pa.array(
-        [None if not valid[i] else float(out[i]) for i in range(n)],
-        type=pa.float64(),
-    )
+    return pa.array(out, type=pa.float64(), mask=~valid)
 
 
 def jaro_similarity_array(a, b, *, mask=None) -> pa.Array:
