@@ -586,8 +586,7 @@ def minhash_lsh_pairs(
         task="link" if link else "dedupe",
         max_pairs=max_pairs,
         salt_rows=2048,
-        carry_l=["__sig__"],
-        carry_r=["__sig__"] if link else None,
+        carry=["__sig__"],
     )
 
     ids_only = ["record_id_l", "record_id_r"]

@@ -55,10 +55,18 @@ def level_proportions(levels: Sequence[str], labels) -> list[float]:
             # representation="string" comparers label by LEVEL NAME: map
             # names to indices over the full level list (unknown names ->
             # the implicit else index, same slot integer labels use) — a
-            # raw np.asarray(..., int64) raised on the string mode
+            # raw np.asarray(..., int64) raised on the string mode. An
+            # object matrix mixing string and integer comparers keeps its
+            # ints, which are already level indices.
             name_to_idx = {name: i for i, name in enumerate(levels)}
             labels = np.array(
-                [name_to_idx.get(x, n_levels) for x in labels], dtype=np.int64
+                [
+                    x
+                    if isinstance(x, (int, np.integer))
+                    else name_to_idx.get(x, n_levels)
+                    for x in labels
+                ],
+                dtype=np.int64,
             )
     labels = labels.astype(np.int64)
     counts = np.bincount(labels, minlength=n_levels).astype(np.float64)

@@ -6,10 +6,9 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from mismo_ray._util import base_schema_or, linker_fallback_schema
 from mismo_ray.keys import KeySpec
 from mismo_ray.linker._common import Task, infer_task
-from mismo_ray.linker._pairgen import generate_pairs
+from mismo_ray.linker._pairgen import generate_pairs, links_schema
 from mismo_ray.types import Linkage
 
 
@@ -33,26 +32,19 @@ class FullLinker:
         links, _ = generate_pairs(
             left, right, [_const_key()], task=task, salt_rows=self.salt_rows
         )
-        fallback = linker_fallback_schema()
-        lbase = base_schema_or(left, fallback)
-        rbase = base_schema_or(right, fallback) if task == "link" else lbase
-        schema = pa.schema(
-            [
-                pa.field("record_id_l", lbase.field("record_id").type),
-                pa.field("record_id_r", rbase.field("record_id").type),
-            ]
+        return Linkage(
+            left=left,
+            right=right,
+            links=links,
+            links_schema=links_schema(left, right, task),
         )
-        return Linkage(left=left, right=right, links=links, links_schema=schema)
 
 
 class EmptyLinker:
     """No pairs."""
 
     def __call__(self, left: ray.data.Dataset, right: ray.data.Dataset) -> Linkage:
-        rid_t = base_schema_or(left, linker_fallback_schema()).field("record_id").type
-        schema = pa.schema(
-            [pa.field("record_id_l", rid_t), pa.field("record_id_r", rid_t)]
-        )
+        schema = links_schema(left, left, "dedupe")
         links = ray.data.from_arrow(schema.empty_table())
         return Linkage(left=left, right=right, links=links, links_schema=schema)
 

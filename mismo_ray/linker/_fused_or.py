@@ -5,20 +5,17 @@ passes over the records, K count pre-passes and K keyed sort shuffles. At
 corpus scale every extra pass re-reads the table and every extra shuffle is
 an all-to-all exchange. Fused: one map emits, per record, one keyed row PER
 RULE — the block hash folds the rule id in, so rules occupy disjoint block
-spaces and the standard pair-generation machinery (count pre-pass, hot-key
-drop, salting, bucketed enumeration — mismo_ray/linker/_pairgen.py) runs
+spaces — and the shared pair-generation core
+(:func:`mismo_ray.linker._pairgen.block_pairs`: count pre-pass, hot-key and
+one-sided drop, salting, bucketed enumeration, asymmetric-dedupe rule) runs
 ONCE over the union. A second, independently-seeded key hash rides along as
-the exact-match guard the enumerator normally gets from raw key columns
-(collision probability 2^-128 instead of per-value equality — the key TUPLE
-itself can't be a column because rules have heterogeneous key sets).
+the exact-key column ``__keyv__`` the enumerator sub-groups on (collision
+probability 2^-128 instead of per-value equality — the key TUPLE itself
+can't be a column because rules have heterogeneous key sets).
 
-Semantics match OrLinker over KeyLinkers with the same settings: per-rule
-hot-key drop and n*n max_pairs quirk (each (rule, key) group is its own
-block), unordered dedupe pairs, overlaps removed via one distinct.
-
-Both tasks: dedupe (triangle enumeration per fused block) and link (two
-tagged fused projections, two-sided count pre-pass and salting — same
-machinery as the single-rule link path).
+Semantics match OrLinker over KeyLinkers with the same settings, for both
+tasks: per-rule hot-key drop and n*n max_pairs quirk (each (rule, key) group
+is its own block), unordered dedupe pairs, overlaps removed via one distinct.
 """
 
 from __future__ import annotations
@@ -26,21 +23,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
 from mismo_ray._joins import distinct
-from mismo_ray._util import base_schema_or, hash64, linker_fallback_schema, splitmix64
+from mismo_ray._util import hash64, splitmix64
 from mismo_ray.keys import KeySpec, resolve_keys
 from mismo_ray.linker._common import infer_task
-from mismo_ray.linker._pairgen import (
-    _block_counts,
-    _collect_filtered,
-    _expand_salt,
-    _make_enumerator,
-)
+from mismo_ray.linker._pairgen import block_pairs, eval_keys, links_schema
 from mismo_ray.types import Linkage
 
 _KEYV = "__keyv__"
@@ -68,242 +58,59 @@ class FusedOrLinker:
         *,
         max_pairs: int | None = None,
         salt_rows: int | None = 2048,
-        carry: Sequence[str] | None = None,
-        count_prepass: bool = True,
-        name: str | None = None,
     ):
         self.rules: list[list[KeySpec]] = [resolve_keys(r) for r in rules]
         self.max_pairs = max_pairs
         self.salt_rows = salt_rows
-        self.carry = list(carry) if carry else []
-        self.count_prepass = count_prepass
-        self.name = name
         self.last_counters: dict = {}
 
-    def __call__(
-        self, left: ray.data.Dataset, right: ray.data.Dataset
-    ) -> Linkage:
-        task = infer_task(task=None, left=left, right=right)
-        if task == "link":
-            return self._link(left, right)
-        rules, carry = self.rules, self.carry
-        max_pairs, salt_rows = self.max_pairs, self.salt_rows
-        count_prepass = self.count_prepass
-        counters: dict = {"task": "dedupe", "n_rules": len(rules)}
+    def _project(self, ds: ray.data.Dataset, side: str) -> ray.data.Dataset:
+        """(record_id, __keyv__, __block__): one row per record per rule
+        whose keys are all non-null."""
+        rules = self.rules
 
-        def project(batch: pa.Table) -> pa.Table:
+        def fn(batch: pa.Table) -> pa.Table:
             outs = []
             for ridx, keys in enumerate(rules):
-                key_arrays = [k(batch, "left") for k in keys]
-                null_mask = np.zeros(len(batch), dtype=bool)
-                for arr in key_arrays:
-                    null_mask |= np.asarray(arr.is_null())
+                key_arrays, null_mask = eval_keys(batch, keys, side)
                 block, keyv = _rule_hashes(key_arrays, ridx)
-                cols = {
-                    "record_id": batch["record_id"],
-                    _KEYV: pa.array(keyv.astype(np.int64)),
-                }
-                for c in carry:
-                    cols[c] = batch[c]
-                cols["__block__"] = pa.array(block.astype(np.int64))
-                out = pa.table(cols)
+                out = pa.table(
+                    {
+                        "record_id": batch["record_id"],
+                        _KEYV: pa.array(keyv.astype(np.int64)),
+                        "__block__": pa.array(block.astype(np.int64)),
+                    }
+                )
                 if null_mask.any():
                     out = out.filter(pa.array(~null_mask))
                 outs.append(out)
             return pa.concat_tables(outs)
 
-        keyed = left.map_batches(project, batch_format="pyarrow")
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            keyed = keyed.materialize()
-            counts = _block_counts(keyed)
-            mp = max_pairs if max_pairs is not None else (1 << 62)
-            sr = salt_rows if salt_rows is not None else (1 << 62)
-            cpdf = _collect_filtered(counts, lambda n: (n * n > mp) | (n > sr))
-        else:
-            cpdf = pd.DataFrame({"__block__": [], "n": []})
-        hot: set = set()
-        salt: dict = {}
-        if max_pairs is not None and count_prepass:
-            hot_mask = cpdf["n"].to_numpy() ** 2 > max_pairs
-            hot = set(int(b) for b in cpdf["__block__"][hot_mask])
-            counters["hot_keys_dropped"] = len(hot)
-        if salt_rows is not None and count_prepass:
-            spdf = cpdf[cpdf["n"].to_numpy() > salt_rows]
-            salt = {
-                int(b): int(n)
-                for b, n in zip(spdf["__block__"], spdf["n"])
-                if int(b) not in hot
-            }
-        counters["salted_keys"] = len(salt)
-        from mismo_ray._joins import default_num_partitions
+        return ds.map_batches(fn, batch_format="pyarrow")
 
-        expanded = _expand_salt(
-            keyed,
-            drop_ref=ray.put(frozenset(hot)) if hot else None,
-            salt_ref=ray.put(salt) if salt else None,
-            salt_rows=salt_rows or (1 << 62),
-            link=False,
-            n_buckets=default_num_partitions(),
-        )
-        enum = _make_enumerator(
-            [_KEYV], carry, carry, link=False,
-            inline_max_pairs=None if count_prepass else max_pairs,
-        )
-        links = expanded.groupby("__bkt__").map_groups(
-            enum, batch_format="pyarrow"
-        )
-        # a pair found by several rules appears once per rule — one distinct
-        # (carried values are identical per pair, so dedupe over all columns)
-        out_cols = ["record_id_l", "record_id_r"] + [
-            f"{c}_{s}" for c in carry for s in ("l", "r")
-        ]
-        links = distinct(links, out_cols)
-        self.last_counters = counters
-        lbase = base_schema_or(left, linker_fallback_schema(carry))
-        schema_fields = [
-            pa.field("record_id_l", pa.int64()),
-            pa.field("record_id_r", pa.int64()),
-        ]
-        for c in carry:
-            for s in ("l", "r"):
-                schema_fields.append(pa.field(f"{c}_{s}", lbase.field(c).type))
-        return Linkage(
-            left=left, right=right, links=links,
-            links_schema=pa.schema(schema_fields),
-        )
-
-    def _link(
+    def __call__(
         self, left: ray.data.Dataset, right: ray.data.Dataset
     ) -> Linkage:
-        """Fused link task: both sides get one keyed row per rule, tagged,
-        unioned; two-sided count pre-pass + salting run once over the fused
-        blocks (mirrors the single-rule link path in _pairgen.py)."""
-        rules, carry = self.rules, self.carry
-        max_pairs, salt_rows = self.max_pairs, self.salt_rows
-        count_prepass = self.count_prepass
-        counters: dict = {"task": "link", "n_rules": len(rules)}
-        fb = linker_fallback_schema(carry)
-        lbase = base_schema_or(left, fb)
-        rbase = base_schema_or(right, fb)
-        ltypes = {f.name: f.type for f in lbase}
-        rtypes = {f.name: f.type for f in rbase}
-
-        def project(side: str, side_val: int):
-            def fn(batch: pa.Table) -> pa.Table:
-                outs = []
-                for ridx, keys in enumerate(rules):
-                    key_arrays = [k(batch, side) for k in keys]
-                    null_mask = np.zeros(len(batch), dtype=bool)
-                    for arr in key_arrays:
-                        null_mask |= np.asarray(arr.is_null())
-                    block, keyv = _rule_hashes(key_arrays, ridx)
-                    n = len(batch)
-                    cols = {
-                        "record_id": batch["record_id"],
-                        _KEYV: pa.array(keyv.astype(np.int64)),
-                    }
-                    for c in carry:
-                        cols[f"{c}__cl"] = (
-                            batch[c] if side_val == 0 else pa.nulls(n, ltypes[c])
-                        )
-                    for c in carry:
-                        cols[f"{c}__cr"] = (
-                            batch[c] if side_val == 1 else pa.nulls(n, rtypes[c])
-                        )
-                    cols["__block__"] = pa.array(block.astype(np.int64))
-                    cols["__side__"] = pa.array(
-                        np.full(n, side_val, dtype=np.int8)
-                    )
-                    out = pa.table(cols)
-                    if null_mask.any():
-                        out = out.filter(pa.array(~null_mask))
-                    outs.append(out)
-                return pa.concat_tables(outs)
-
-            return fn
-
-        keyed_l = left.map_batches(project("left", 0), batch_format="pyarrow")
-        keyed_r = right.map_batches(project("right", 1), batch_format="pyarrow")
-        hot: set = set()
-        salt: dict = {}
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            from mismo_ray._joins import hash_join
-
-            keyed_l = keyed_l.materialize()
-            keyed_r = keyed_r.materialize()
-            cl = _block_counts(keyed_l)
-            cr = _block_counts(keyed_r)
-            counts_schema = pa.schema(
-                [pa.field("__block__", pa.int64()), pa.field("n", pa.int64())]
-            )
-            joined = hash_join(
-                cl, cr, on="__block__", right_suffix="_r",
-                left_schema=counts_schema, right_schema=counts_schema,
-            )
-            mp = max_pairs if max_pairs is not None else (1 << 62)
-            sr_t = salt_rows if salt_rows is not None else (1 << 62)
-
-            def hot_or_salt(t: pa.Table) -> pa.Table:
-                nl = np.asarray(t["n"], dtype=np.int64)
-                nr = np.asarray(t["n_r"], dtype=np.int64)
-                return t.filter(
-                    pa.array((nl * nr > mp) | (nl > sr_t) | (nr > sr_t))
-                )
-
-            jpdf = joined.map_batches(
-                hot_or_salt, batch_format="pyarrow"
-            ).to_pandas()
-            if "__block__" not in jpdf.columns:
-                jpdf = pd.DataFrame({"__block__": [], "n": [], "n_r": []})
-            if max_pairs is not None:
-                hot_mask = (
-                    jpdf["n"].to_numpy(dtype=np.int64)
-                    * jpdf["n_r"].to_numpy(dtype=np.int64)
-                    > max_pairs
-                )
-                hot = set(int(b) for b in jpdf["__block__"][hot_mask])
-            counters["hot_keys_dropped"] = len(hot)
-            if salt_rows is not None:
-                salt = {
-                    int(b): (int(nl), int(nr))
-                    for b, nl, nr in zip(
-                        jpdf["__block__"], jpdf["n"], jpdf["n_r"]
-                    )
-                    if int(b) not in hot
-                    and (int(nl) > salt_rows or int(nr) > salt_rows)
-                }
-            counters["salted_keys"] = len(salt)
-        keyed = keyed_l.union(keyed_r)
-        from mismo_ray._joins import default_num_partitions
-
-        expanded = _expand_salt(
-            keyed,
-            drop_ref=ray.put(frozenset(hot)) if hot else None,
-            salt_ref=ray.put(salt) if salt else None,
-            salt_rows=salt_rows or (1 << 62),
-            link=True,
-            n_buckets=default_num_partitions(),
+        task = infer_task(task=None, left=left, right=right)
+        links, counters = block_pairs(
+            left,
+            right,
+            self._project,
+            [_KEYV],
+            task=task,
+            symmetric=all(
+                k.left_fn is k.right_fn for keys in self.rules for k in keys
+            ),
+            max_pairs=self.max_pairs,
+            salt_rows=self.salt_rows,
         )
-        enum = _make_enumerator(
-            [_KEYV], carry, carry, link=True,
-            inline_max_pairs=None if count_prepass else max_pairs,
-        )
-        links = expanded.groupby("__bkt__").map_groups(
-            enum, batch_format="pyarrow"
-        )
-        out_cols = ["record_id_l", "record_id_r"] + [
-            f"{c}_{s}" for c in carry for s in ("l", "r")
-        ]
-        links = distinct(links, out_cols)
+        counters["n_rules"] = len(self.rules)
         self.last_counters = counters
-        schema_fields = [
-            pa.field("record_id_l", pa.int64()),
-            pa.field("record_id_r", pa.int64()),
-        ]
-        for c in carry:
-            schema_fields.append(pa.field(f"{c}_l", ltypes[c]))
-            schema_fields.append(pa.field(f"{c}_r", rtypes[c]))
+        # a pair found by several rules appears once per rule
+        links = distinct(links, ["record_id_l", "record_id_r"])
         return Linkage(
-            left=left, right=right, links=links,
-            links_schema=pa.schema(schema_fields),
+            left=left,
+            right=right,
+            links=links,
+            links_schema=links_schema(left, right, task),
         )

@@ -23,13 +23,12 @@ from collections.abc import Sequence
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Count
 
 from mismo_ray._joins import hash_join
-from mismo_ray._util import base_schema_or, linker_fallback_schema
+from mismo_ray._util import base_schema_or
 from mismo_ray.keys import KeySpec, resolve_keys
 from mismo_ray.linker._common import Task, infer_task
-from mismo_ray.linker._pairgen import generate_pairs, project_keyed
+from mismo_ray.linker._pairgen import generate_pairs, links_schema, project_keyed
 from mismo_ray.types import Linkage
 
 
@@ -51,7 +50,7 @@ class KeyLinker:
         self.salt_rows = salt_rows
         # count_prepass=False: enforce max_pairs inside the reduce tasks and
         # skip the per-key count barrier — only for keys whose group size is
-        # bounded by construction (see generate_pairs docstring)
+        # bounded by construction (see the _pairgen.block_pairs docstring)
         self.count_prepass = count_prepass
         self.carry = list(carry) if carry else []
         self.name = name or "+".join(k.name for k in self.keys)
@@ -61,58 +60,21 @@ class KeyLinker:
         self, left: ray.data.Dataset, right: ray.data.Dataset
     ) -> Linkage:
         task = infer_task(task=self.task, left=left, right=right)
-        asymmetric = any(k.left_fn is not k.right_fn for k in self.keys)
-        if task == "dedupe" and asymmetric:
-            # cross-field keys (left fn != right fn) cannot use the triangle
-            # enumeration; run link-mode over the same table and keep only the
-            # record_id_l < record_id_r orientation (the reference applies the
-            # same condition to its self-join, _key_linker.py:190-193).
-            links, counters = generate_pairs(
-                left,
-                left,
-                self.keys,
-                task="link",
-                max_pairs=self.max_pairs,
-                salt_rows=self.salt_rows,
-                carry_l=self.carry,
-                carry_r=self.carry,
-                count_prepass=self.count_prepass,
-            )
-
-            def ordered(t: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                return t.filter(
-                    pc.less(t["record_id_l"], t["record_id_r"])
-                )
-
-            links = links.map_batches(ordered, batch_format="pyarrow")
-        else:
-            links, counters = generate_pairs(
-                left,
-                right,
-                self.keys,
-                task=task,
-                max_pairs=self.max_pairs,
-                salt_rows=self.salt_rows,
-                carry_l=self.carry,
-                carry_r=self.carry,
-                count_prepass=self.count_prepass,
-            )
-        self.last_counters = counters
-        fallback = linker_fallback_schema(self.carry)
-        lbase = base_schema_or(left, fallback)
-        rbase = base_schema_or(right, fallback) if task == "link" else lbase
-        fields = [
-            pa.field("record_id_l", lbase.field("record_id").type),
-            pa.field("record_id_r", rbase.field("record_id").type),
-        ]
-        for c in self.carry:
-            fields.append(pa.field(f"{c}_l", lbase.field(c).type))
-        for c in self.carry:
-            fields.append(pa.field(f"{c}_r", rbase.field(c).type))
+        links, self.last_counters = generate_pairs(
+            left,
+            right,
+            self.keys,
+            task=task,
+            max_pairs=self.max_pairs,
+            salt_rows=self.salt_rows,
+            carry=self.carry,
+            count_prepass=self.count_prepass,
+        )
         return Linkage(
-            left=left, right=right, links=links, links_schema=pa.schema(fields)
+            left=left,
+            right=right,
+            links=links,
+            links_schema=links_schema(left, right, task, self.carry),
         )
 
     # ------------------------------------------------------------ diagnostics

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import pyarrow as pa
 import ray.data
 
 from mismo_ray._joins import distinct
-from mismo_ray._util import base_schema_or, linker_fallback_schema
 from mismo_ray.linker._common import Linker
+from mismo_ray.linker._pairgen import links_schema
 from mismo_ray.types import Linkage
 
 
@@ -43,13 +42,9 @@ class OrLinker:
         for other in links_list[1:]:
             unioned = unioned.union(other)
         deduped = distinct(unioned, ["record_id_l", "record_id_r"])
-        fallback = linker_fallback_schema()
-        lbase = base_schema_or(left, fallback)
-        rbase = base_schema_or(right, fallback)
-        schema = pa.schema(
-            [
-                pa.field("record_id_l", lbase.field("record_id").type),
-                pa.field("record_id_r", rbase.field("record_id").type),
-            ]
+        return Linkage(
+            left=left,
+            right=right,
+            links=deduped,
+            links_schema=links_schema(left, right, "link"),
         )
-        return Linkage(left=left, right=right, links=deduped, links_schema=schema)

@@ -1,29 +1,37 @@
 """Pair-generation core: the blocking shuffle.
 
-This is the engine behind KeyLinker / UnnestLinker / MinhashLshLinker /
-CoordinateLinker (SURVEY §2.3, §7.3-7.5). Reference semantics from
+The one module that turns keyed projections into candidate pairs. KeyLinker,
+FusedOrLinker, UnnestLinker, FullLinker and the MinHash-LSH band join each
+supply a per-side projection — (record_id, exact-key columns, carried
+columns, ``__block__``) — and :func:`block_pairs` owns everything after it
+(SURVEY §2.3, §7.3-7.5). Reference semantics from
 /root/reference/mismo/linker/_key_linker.py:
 
 - records block together when ALL key values are equal (null keys never match);
 - dedupe task emits each unordered pair once with record_id_l < record_id_r
-  (_key_linker.py:190-193);
+  (_key_linker.py:190-193); asymmetric keys (left fn != right fn) cannot use
+  the triangle enumeration, so their dedupe runs link mode over the same
+  table and keeps that orientation;
 - ``max_pairs`` drops every pair of any key whose pair count (nl*nr, computed
   with the same table on both sides for dedupe — reference quirk,
   _key_linker.py:195-222) exceeds the cap.
 
 Ray-Data mapping — one keyed shuffle, skew handled explicitly:
 
-1. project each side to (record_id, key columns, carried columns) in
-   ``map_batches`` and hash the key tuple to a uint64 ``__block__``;
-2. pre-pass ``groupby(__block__).count()`` over the projection; keys over
-   ``max_pairs`` are collected (tiny) and broadcast as a drop set; keys whose
-   groups exceed ``salt_rows`` are broadcast as a {block: n} salt map;
-3. **salting**: a group of n rows is split into s = ceil(n / salt_rows)
+1. the projection hashes the key tuple to an int64 ``__block__``; link sides
+   are tagged with ``__side__`` and unioned;
+2. count pre-pass over the pinned projection, one groupby: dedupe counts n
+   rows per block (nl = nr = n), link counts (nl, nr) over the tagged union,
+   zero where a block is missing on one side. ONE planner (:func:`_plan`)
+   collects the oversized blocks and broadcasts a drop set (nl*nr over
+   ``max_pairs``; link blocks over ``salt_rows`` with no partner rows) and a
+   {block: (nl, nr)} salt map (either side over ``salt_rows``);
+3. **salting**: a dedupe group of n rows is split into s = ceil(n / salt_rows)
    sub-blocks by record-id hash; each unordered pair of sub-blocks (i <= j)
    becomes its own shuffle group, so no single task ever enumerates more than
-   ~salt_rows^2 pairs. Rows are replicated s times (2·npairs/salt_rows total) —
-   the price of bounding per-task memory;
-4. ``groupby(__grp__).map_groups`` enumerates pairs vectorized
+   ~salt_rows^2 pairs. Link groups sub-block both sides. Rows are replicated
+   s times (2·npairs/salt_rows total) — the price of bounding per-task memory;
+4. ``groupby(__bkt__).map_groups`` enumerates pairs vectorized
    (numpy triu / meshgrid), with an exact key-tuple sub-group inside each hash
    group to guard against 64-bit hash collisions.
 
@@ -34,14 +42,15 @@ across runs and parallelism levels.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count
+from ray.data.aggregate import Count, Sum
 
 from mismo_ray._util import base_schema_or, hash64, linker_fallback_schema, splitmix64
 from mismo_ray.keys import KeySpec
@@ -63,6 +72,17 @@ def _combine_key_hash(arrays: list[pa.Array]) -> np.ndarray:
     return combine_hash_arrays(arrays, len(arrays[0]))
 
 
+def eval_keys(
+    batch: pa.Table, keys: Sequence[KeySpec], side: str
+) -> tuple[list[pa.Array], np.ndarray]:
+    """The key arrays of one side, and the mask of rows with any null key."""
+    key_arrays = [k(batch, side) for k in keys]
+    null_mask = np.zeros(len(batch), dtype=bool)
+    for arr in key_arrays:
+        null_mask |= np.asarray(arr.is_null())
+    return key_arrays, null_mask
+
+
 def project_keyed(
     ds: ray.data.Dataset,
     keys: Sequence[KeySpec],
@@ -73,10 +93,7 @@ def project_keyed(
     carry = list(carry or [])
 
     def fn(batch: pa.Table) -> pa.Table:
-        key_arrays = [k(batch, side) for k in keys]
-        null_mask = np.zeros(len(batch), dtype=bool)
-        for arr in key_arrays:
-            null_mask |= np.asarray(arr.is_null())
+        key_arrays, null_mask = eval_keys(batch, keys, side)
         block = _combine_key_hash(key_arrays)
         cols = {"record_id": batch["record_id"]}
         for k, arr in zip(keys, key_arrays):
@@ -92,21 +109,107 @@ def project_keyed(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _block_counts(keyed: ray.data.Dataset) -> ray.data.Dataset:
-    return keyed.groupby("__block__").aggregate(Count(alias_name="n"))
+def links_schema(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    task: str,
+    carry: Sequence[str] = (),
+) -> pa.Schema:
+    """The links a blocking linker emits: record_id_l / record_id_r typed
+    like each side's record_id, then every carried column suffixed _l, then
+    _r (the enumerator's column order). Dedupe types both sides from left."""
+    fallback = linker_fallback_schema(carry)
+    lbase = base_schema_or(left, fallback)
+    rbase = base_schema_or(right, fallback) if task == "link" else lbase
+    return pa.schema(
+        [
+            pa.field("record_id_l", lbase.field("record_id").type),
+            pa.field("record_id_r", rbase.field("record_id").type),
+        ]
+        + [pa.field(f"{c}_l", lbase.field(c).type) for c in carry]
+        + [pa.field(f"{c}_r", rbase.field(c).type) for c in carry]
+    )
 
 
-def _collect_filtered(counts: ray.data.Dataset, pred) -> pd.DataFrame:
-    """Filter the (small-ish) per-key counts distributed, collect the survivors."""
+def _tag(
+    keyed: ray.data.Dataset, side_val: int, carry: list[str], other: pa.Schema
+) -> ray.data.Dataset:
+    """Add ``__side__`` and split each carried column into ``c__cl`` /
+    ``c__cr``, null-filled (typed from ``other``) on the side that lacks it,
+    so the two tagged projections union with one schema."""
 
     def fn(t: pa.Table) -> pa.Table:
-        n = np.asarray(t["n"], dtype=np.int64)
-        return t.filter(pa.array(pred(n)))
+        n = len(t)
+        out = t.drop_columns(carry)
+        for suffix, own in (("__cl", side_val == 0), ("__cr", side_val == 1)):
+            for c in carry:
+                col = t[c] if own else pa.nulls(n, other.field(c).type)
+                out = out.append_column(f"{c}{suffix}", col)
+        return out.append_column(
+            "__side__", pa.array(np.full(n, side_val, dtype=np.int8))
+        )
 
-    pdf = counts.map_batches(fn, batch_format="pyarrow").to_pandas()
-    if "__block__" not in pdf.columns:
-        pdf = pd.DataFrame({"__block__": [], "n": []})
-    return pdf
+    return keyed.map_batches(fn, batch_format="pyarrow")
+
+
+def _plan(
+    keyed: ray.data.Dataset,
+    *,
+    link: bool,
+    max_pairs: int | None,
+    salt_rows: int | None,
+    counters: dict,
+) -> tuple[frozenset, dict]:
+    """The skew decision: (drop set, salt map {block: (nl, nr)}).
+
+    One groupby counts rows per block; link also sums ``__side__`` to split
+    the count into (nl, nr), with 0 where a block has no rows on a side.
+    Only the oversized blocks are collected. Pair counts are float64
+    products: int64 wraps negative past ~3.04e9 rows per side, and a wrapped
+    hot key would be salted into millions of sub-blocks instead of dropped.
+    """
+    mp = math.inf if max_pairs is None else float(max_pairs)
+    sr = math.inf if salt_rows is None else float(salt_rows)
+    aggs = [Count(alias_name="n")]
+    if link:
+        aggs.append(Sum("__side__", alias_name="n_r"))
+
+    def oversized(t: pa.Table) -> pa.Table:
+        n = np.asarray(t["n"], dtype=np.int64)
+        nr = np.asarray(t["n_r"], dtype=np.int64) if link else n
+        nl = n - nr if link else n
+        out = pa.table(
+            {"__block__": t["__block__"], "n": n, "n_l": nl, "n_r": nr}
+        )
+        fl, fr = nl.astype(np.float64), nr.astype(np.float64)
+        return out.filter(pa.array((fl * fr > mp) | (fl > sr) | (fr > sr)))
+
+    pdf = (
+        keyed.groupby("__block__")
+        .aggregate(*aggs)
+        .map_batches(oversized, batch_format="pyarrow")
+        .to_pandas()
+    )
+    if "__block__" not in pdf.columns:  # no blocks at all: schemaless output
+        pdf = pd.DataFrame({c: [] for c in ("__block__", "n", "n_l", "n_r")})
+    block = pdf["__block__"].to_numpy(dtype=np.int64)
+    nl = pdf["n_l"].to_numpy(dtype=np.float64)
+    nr = pdf["n_r"].to_numpy(dtype=np.float64)
+    drop = nl * nr > mp
+    if link:
+        # a block on ONE side only yields no pairs but would shuffle all its
+        # rows into a single group (or be pointlessly salted): drop it
+        one_sided = ((nl == 0) | (nr == 0)) & ((nl > sr) | (nr > sr))
+        counters["one_sided_keys_dropped"] = int(one_sided.sum())
+        drop |= one_sided
+    counters["hot_keys_dropped"] = int(drop.sum())
+    counters["hot_records_dropped"] = int(pdf["n"].to_numpy()[drop].sum())
+    salted = ~drop & ((nl > sr) | (nr > sr))
+    salt = {
+        int(b): (int(x), int(y))
+        for b, x, y in zip(block[salted], nl[salted], nr[salted])
+    }
+    return frozenset(int(b) for b in block[drop]), salt
 
 
 def _expand_salt(
@@ -116,12 +219,12 @@ def _expand_salt(
     salt_ref,
     salt_rows: int,
     link: bool,
-    n_buckets: int = 64,
+    n_buckets: int,
 ) -> ray.data.Dataset:
     """Assign shuffle groups; replicate rows of salted blocks.
 
     Unsalted: grp = block, role = BOTH (dedupe) or L/R by side (link).
-    Salted dedupe (salt[b] = n rows): row in sub-block b joins the triangle
+    Salted dedupe (salt[b] = (n, n)): row in sub-block b joins the triangle
     group (b,b) with role BOTH, and every cross group (i,j), i<j, with role L
     for i-rows and role R for j-rows.
     Salted link (salt[b] = (n_left, n_right)): BOTH sides are sub-blocked —
@@ -212,7 +315,7 @@ def _expand_salt(
                 roles = np.where(isl_rep, _ROLE_L, _ROLE_R).astype(np.int8)
             else:
                 us = np.array(
-                    [max(1, math.ceil(salt[b] / salt_rows)) for b in ub],
+                    [max(1, math.ceil(salt[b][0] / salt_rows)) for b in ub],
                     dtype=np.int64,
                 )
                 s = us[inv]
@@ -262,8 +365,7 @@ def _expand_salt(
 
 def _make_enumerator(
     key_cols: list[str],
-    carry_l: list[str],
-    carry_r: list[str],
+    carry: list[str],
     link: bool,
     inline_max_pairs: int | None = None,
 ):
@@ -322,22 +424,103 @@ def _make_enumerator(
             ir = pa.array(np.concatenate(all_r), type=pa.int64())
         else:
             il = ir = pa.array([], type=pa.int64())
-        import pyarrow.compute as pc
-
         rid = g["record_id"]
         cols = {
             "record_id_l": pc.take(rid, il),
             "record_id_r": pc.take(rid, ir),
         }
-        for c in carry_l:
+        for c in carry:
             src = f"{c}__cl" if link else c
             cols[f"{c}_l"] = pc.take(g[src], il)
-        for c in carry_r:
+        for c in carry:
             src = f"{c}__cr" if link else c
             cols[f"{c}_r"] = pc.take(g[src], ir)
         return pa.table(cols)
 
     return enumerate_pairs
+
+
+def block_pairs(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    project: Callable[[ray.data.Dataset, str], ray.data.Dataset],
+    key_cols: list[str],
+    *,
+    task: str,
+    symmetric: bool = True,
+    max_pairs: int | None = None,
+    salt_rows: int | None = 2048,
+    carry: Sequence[str] = (),
+    count_prepass: bool = True,
+) -> tuple[ray.data.Dataset, dict]:
+    """Candidate pairs of the records whose projections share ``__block__``
+    and the exact values of ``key_cols``.
+
+    ``project(ds, side)`` maps one side's records to (record_id, *key_cols,
+    *carry, __block__) with null-key rows dropped; ``symmetric`` says both
+    sides project alike. Returns (links Dataset, counters dict); the links
+    have the columns :func:`links_schema` declares.
+
+    ``count_prepass=False`` skips the per-key count pre-pass (one fewer
+    barrier + no pinned projection): the ``max_pairs`` hot-key drop is
+    enforced INSIDE each reduce task instead, and no salting happens. Only
+    correct when every key group's ROWS fit one task (pair count is still
+    bounded by max_pairs; row count is not) — use for keys whose group size
+    is bounded by construction.
+    """
+    from mismo_ray._joins import default_num_partitions
+
+    carry = list(carry)
+    counters: dict = {"task": task}
+    link = task == "link" or not symmetric
+    if link:
+        if task == "dedupe":
+            right = left
+        fallback = linker_fallback_schema(carry)
+        lbase = base_schema_or(left, fallback) if carry else fallback
+        rbase = base_schema_or(right, fallback) if carry else fallback
+        keyed = _tag(project(left, "left"), 0, carry, rbase).union(
+            _tag(project(right, "right"), 1, carry, lbase)
+        )
+    else:
+        keyed = project(left, "left")
+    prepass = count_prepass and (max_pairs is not None or salt_rows is not None)
+    drop: frozenset = frozenset()
+    salt: dict = {}
+    if prepass:
+        # the count pre-pass and the pair-gen pass both consume the
+        # projection; pin it once instead of re-running the key functions
+        # (and any upstream transforms) per consumption. At extreme scale
+        # with heavy carried columns, prefer carry=None + a later join so
+        # the pinned projection stays narrow.
+        keyed = keyed.materialize()
+        drop, salt = _plan(
+            keyed, link=link, max_pairs=max_pairs, salt_rows=salt_rows,
+            counters=counters,
+        )
+    counters["salted_keys"] = len(salt)
+    expanded = _expand_salt(
+        keyed,
+        drop_ref=ray.put(drop) if drop else None,
+        salt_ref=ray.put(salt) if salt else None,
+        salt_rows=salt_rows or (1 << 62),
+        link=link,
+        n_buckets=default_num_partitions(),
+    )
+    enum = _make_enumerator(
+        key_cols, carry, link=link,
+        inline_max_pairs=None if prepass else max_pairs,
+    )
+    links = expanded.groupby("__bkt__").map_groups(enum, batch_format="pyarrow")
+    if task == "dedupe" and link:
+        # asymmetric dedupe: keep the record_id_l < record_id_r orientation
+        # of the self-link (the reference's self-join condition,
+        # _key_linker.py:190-193)
+        def ordered(t: pa.Table) -> pa.Table:
+            return t.filter(pc.less(t["record_id_l"], t["record_id_r"]))
+
+        links = links.map_batches(ordered, batch_format="pyarrow")
+    return links, counters
 
 
 def generate_pairs(
@@ -348,217 +531,24 @@ def generate_pairs(
     task: str,
     max_pairs: int | None = None,
     salt_rows: int | None = 2048,
-    carry_l: Sequence[str] | None = None,
-    carry_r: Sequence[str] | None = None,
+    carry: Sequence[str] | None = None,
     count_prepass: bool = True,
 ) -> tuple[ray.data.Dataset, dict]:
-    """Generate candidate pairs for records sharing ALL keys.
-
-    Returns (links Dataset, counters dict). Links schema:
-    record_id_l, record_id_r [, carried columns suffixed _l/_r].
-
-    ``count_prepass=False`` skips the per-key count pre-pass (one fewer
-    barrier + no pinned keyed projection): the ``max_pairs`` hot-key drop is
-    enforced INSIDE each reduce task instead, and no salting happens. Only
-    correct when every key group's ROWS fit one task (pair count is still
-    bounded by max_pairs; row count is not) — use for keys whose group size
-    is bounded by construction.
-    """
-    carry_l = list(carry_l or [])
-    carry_r = list(carry_r or [])
-    key_cols = [_key_col(k.name) for k in keys]
-    counters: dict = {"task": task, "n_keys": len(keys)}
-    link = task == "link"
-
-    if not link:
-        keyed = project_keyed(left, keys, "left", carry_l)
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            # the count pre-pass and the pair-gen pass both consume the keyed
-            # projection; pin it once instead of re-running the key functions
-            # (and any upstream transforms) per consumption. At extreme scale
-            # with heavy carried columns, prefer carry=None + a later join so
-            # the pinned projection stays narrow.
-            keyed = keyed.materialize()
-        drop_ref = salt_ref = None
-        hot: set = set()
-        salt: dict = {}
-        # ONE collect pass for both the hot-key drop set and the salt map
-        # (two separate passes would re-run the counts groupby) — and NO
-        # pass at all when neither cap is set (bounded-group pipelines opt
-        # out of the pre-pass entirely)
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            counts = _block_counts(keyed)
-            mp = max_pairs if max_pairs is not None else (1 << 62)
-            sr = salt_rows if salt_rows is not None else (1 << 62)
-            cpdf = _collect_filtered(counts, lambda n: (n * n > mp) | (n > sr))
-        else:
-            cpdf = pd.DataFrame({"__block__": [], "n": []})
-        if max_pairs is not None and count_prepass:
-            # npairs per key uses n*n for dedupe — reference parity quirk
-            # (_key_linker.py:195-222 computes nleft*nright on the same table).
-            # float64 square: int64 n**2 wraps negative past ~3.04e9 rows and
-            # a wrapped hot key would be SALTED into millions of sub-blocks
-            # instead of dropped
-            hot_mask = cpdf["n"].to_numpy(dtype=np.float64) ** 2 > max_pairs
-            hot = set(int(b) for b in cpdf["__block__"][hot_mask])
-            counters["hot_keys_dropped"] = len(hot)
-            counters["hot_records_dropped"] = (
-                int(cpdf["n"][hot_mask].sum()) if len(cpdf) else 0
-            )
-        if salt_rows is not None and count_prepass:
-            spdf = cpdf[cpdf["n"].to_numpy() > salt_rows]
-            salt = {
-                int(b): int(n)
-                for b, n in zip(spdf["__block__"], spdf["n"])
-                if int(b) not in hot
-            }
-        counters["salted_keys"] = len(salt)
-        drop_ref = ray.put(frozenset(hot)) if hot else None
-        salt_ref = ray.put(salt) if salt else None
-        from mismo_ray._joins import default_num_partitions
-
-        expanded = _expand_salt(
-            keyed,
-            drop_ref=drop_ref,
-            salt_ref=salt_ref,
-            salt_rows=salt_rows or (1 << 62),
-            link=False,
-            n_buckets=default_num_partitions(),
-        )
-        enum = _make_enumerator(
-            key_cols, carry_l, carry_r or carry_l, link=False,
-            inline_max_pairs=None if count_prepass else max_pairs,
-        )
-    else:
-        keyed_l = project_keyed(left, keys, "left", carry_l)
-        keyed_r = project_keyed(right, keys, "right", carry_r)
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            keyed_l = keyed_l.materialize()
-            keyed_r = keyed_r.materialize()
-        # carried-column arrow types, needed to fill nulls on the other side
-        # so the two tagged projections union with one schema
-        _fb = linker_fallback_schema([*carry_l, *carry_r])
-        ltypes = {f.name: f.type for f in base_schema_or(left, _fb)}
-        rtypes = {f.name: f.type for f in base_schema_or(right, _fb)}
-
-        def tag(side_val: int):
-            def fn(t: pa.Table) -> pa.Table:
-                n = len(t)
-                cols = {"record_id": t["record_id"], "__block__": t["__block__"]}
-                for k in key_cols:
-                    cols[k] = t[k]
-                for c in carry_l:
-                    cols[f"{c}__cl"] = t[c] if side_val == 0 else pa.nulls(n, ltypes[c])
-                for c in carry_r:
-                    cols[f"{c}__cr"] = t[c] if side_val == 1 else pa.nulls(n, rtypes[c])
-                cols["__side__"] = pa.array(np.full(n, side_val, dtype=np.int8))
-                return pa.table(cols)
-
-            return fn
-
-        tl = keyed_l.map_batches(tag(0), batch_format="pyarrow")
-        tr = keyed_r.map_batches(tag(1), batch_format="pyarrow")
-        keyed = tl.union(tr)
-        drop_ref = salt_ref = None
-        if (max_pairs is not None or salt_rows is not None) and count_prepass:
-            from mismo_ray._joins import hash_join
-
-            cl = _block_counts(keyed_l)
-            cr = _block_counts(keyed_r)
-            counts_schema = pa.schema(
-                [pa.field("__block__", pa.int64()), pa.field("n", pa.int64())]
-            )
-            # explicit schemas: an empty side's aggregate output has no
-            # inferable schema (ds.schema() is None) and empty corpora are
-            # legal inputs
-            # FULL OUTER: an inner join would silently skip blocks present
-            # on one side only — a one-sided hot key then lands unsalted
-            # and undropped in a single reduce group (OOM/straggler) even
-            # though it can produce zero pairs
-            joined = hash_join(
-                cl,
-                cr,
-                on="__block__",
-                how="full_outer",
-                right_suffix="_r",
-                left_schema=counts_schema,
-                right_schema=counts_schema,
-            )
-            # ONE collect pass over the joined per-block counts serves both
-            # the hot-key drop set and the TWO-SIDED salt map: a block is
-            # salted when EITHER side exceeds salt_rows (left-only salting
-            # would leave right-skewed blocks with salt_rows * n_right pair
-            # enumeration in one task).
-            mp = max_pairs if max_pairs is not None else (1 << 62)
-            sr_t = salt_rows if salt_rows is not None else (1 << 62)
-
-            import pyarrow.compute as pc
-
-            def hot_or_salt(t: pa.Table) -> pa.Table:
-                # fill the outer join's nulls with 0 (block on one side
-                # only); float64 products so a pathological count cannot
-                # wrap int64 and dodge the drop
-                nl = np.asarray(pc.fill_null(t["n"], 0), dtype=np.float64)
-                nr = np.asarray(pc.fill_null(t["n_r"], 0), dtype=np.float64)
-                t = t.set_column(
-                    t.schema.get_field_index("n"),
-                    "n",
-                    pa.array(nl.astype(np.int64)),
-                ).set_column(
-                    t.schema.get_field_index("n_r"),
-                    "n_r",
-                    pa.array(nr.astype(np.int64)),
-                )
-                return t.filter(
-                    pa.array((nl * nr > mp) | (nl > sr_t) | (nr > sr_t))
-                )
-
-            jpdf = joined.map_batches(hot_or_salt, batch_format="pyarrow").to_pandas()
-            if "__block__" not in jpdf.columns:
-                jpdf = pd.DataFrame({"__block__": [], "n": [], "n_r": []})
-            nl_all = jpdf["n"].to_numpy(dtype=np.float64) if len(jpdf) else np.array([])
-            nr_all = jpdf["n_r"].to_numpy(dtype=np.float64) if len(jpdf) else np.array([])
-            hot = set()
-            if max_pairs is not None:
-                hot_mask = nl_all * nr_all > max_pairs
-                hot = set(int(b) for b in jpdf["__block__"][hot_mask])
-            # a block that exists on ONE side only produces zero pairs but
-            # would otherwise shuffle all its rows into a single group (or
-            # be pointlessly salted) — drop it outright when oversized
-            if len(jpdf):
-                one_sided = ((nl_all == 0) | (nr_all == 0)) & (
-                    (nl_all > sr_t) | (nr_all > sr_t)
-                )
-                n_one_sided = int(one_sided.sum())
-                if n_one_sided:
-                    hot |= set(int(b) for b in jpdf["__block__"][one_sided])
-                counters["one_sided_keys_dropped"] = n_one_sided
-            counters["hot_keys_dropped"] = len(hot)
-            salt = {}
-            if salt_rows is not None:
-                salt = {
-                    int(b): (int(nl), int(nr))
-                    for b, nl, nr in zip(jpdf["__block__"], jpdf["n"], jpdf["n_r"])
-                    if int(b) not in hot
-                    and (int(nl) > salt_rows or int(nr) > salt_rows)
-                }
-            counters["salted_keys"] = len(salt)
-            drop_ref = ray.put(frozenset(hot)) if hot else None
-            salt_ref = ray.put(salt) if salt else None
-        from mismo_ray._joins import default_num_partitions
-
-        expanded = _expand_salt(
-            keyed,
-            drop_ref=drop_ref,
-            salt_ref=salt_ref,
-            salt_rows=salt_rows or (1 << 62),
-            link=True,
-            n_buckets=default_num_partitions(),
-        )
-        enum = _make_enumerator(
-            key_cols, carry_l, carry_r, link=True,
-            inline_max_pairs=None if count_prepass else max_pairs,
-        )
-
-    links = expanded.groupby("__bkt__").map_groups(enum, batch_format="pyarrow")
+    """Candidate pairs of records sharing ALL ``keys``: :func:`block_pairs`
+    over :func:`project_keyed`."""
+    keys = list(keys)
+    carry = list(carry or [])
+    links, counters = block_pairs(
+        left,
+        right,
+        lambda ds, side: project_keyed(ds, keys, side, carry),
+        [_key_col(k.name) for k in keys],
+        task=task,
+        symmetric=all(k.left_fn is k.right_fn for k in keys),
+        max_pairs=max_pairs,
+        salt_rows=salt_rows,
+        carry=carry,
+        count_prepass=count_prepass,
+    )
+    counters["n_keys"] = len(keys)
     return links, counters

@@ -14,10 +14,9 @@ import pyarrow as pa
 import ray.data
 
 from mismo_ray._joins import distinct
-from mismo_ray._util import base_schema_or, linker_fallback_schema
 from mismo_ray.keys import KeySpec, resolve_keys
 from mismo_ray.linker._common import Task, infer_task
-from mismo_ray.linker._pairgen import generate_pairs
+from mismo_ray.linker._pairgen import generate_pairs, links_schema
 from mismo_ray.types import Linkage
 
 
@@ -109,13 +108,9 @@ class UnnestLinker:
         )
         self.last_counters = counters
         deduped = distinct(links, ["record_id_l", "record_id_r"])
-        fallback = linker_fallback_schema()
-        lbase = base_schema_or(left, fallback)
-        rbase = base_schema_or(right, fallback) if task == "link" else lbase
-        schema = pa.schema(
-            [
-                pa.field("record_id_l", lbase.field("record_id").type),
-                pa.field("record_id_r", rbase.field("record_id").type),
-            ]
+        return Linkage(
+            left=left,
+            right=right,
+            links=deduped,
+            links_schema=links_schema(left, right, task),
         )
-        return Linkage(left=left, right=right, links=deduped, links_schema=schema)

@@ -163,9 +163,7 @@ def febrl_match_pairs(
     # shuffle (FusedOrLinker), and build every shuffle with few partitions —
     # coordination, not compute, is the cost at this size
     with partition_hint(8):
-        blocker = FusedOrLinker(
-            [[k] for k in _BLOCK_KEYS], salt_rows=None, count_prepass=False
-        )
+        blocker = FusedOrLinker([[k] for k in _BLOCK_KEYS], salt_rows=None)
         linkage = blocker(records, records)
         linkage = Linkage(
             left=records,
@@ -261,9 +259,7 @@ def febrl_link_pairs(
     from mismo_ray._joins import partition_hint
 
     with partition_hint(8):
-        blocker = FusedOrLinker(
-            [[k] for k in _BLOCK_KEYS], salt_rows=None, count_prepass=False
-        )
+        blocker = FusedOrLinker([[k] for k in _BLOCK_KEYS], salt_rows=None)
         linkage = blocker(left, right)
         linkage = Linkage(
             left=left,

@@ -37,6 +37,7 @@ SF_SRC = "/root/testdata/sf0.001"
 QUERIES = [
     "flagship_er",
     "key_linker_pairs",  # was: NoneType.base_schema (KeyLinker)
+    "key_linker_link",  # two-sided count pre-pass over an empty union
     "key_counts",
     "pair_counts",
     "unnest_linker",

@@ -253,12 +253,17 @@ def test_level_proportions_string_labels():
     assert len(props) >= 2
     assert props[0] == pytest.approx(2 / 4)
     assert props[1] == pytest.approx(1 / 4)
+    # an object label column from a matrix that mixes string and integer
+    # comparers: its ints are level indices, not unknown level names
+    props = level_proportions(["x", "y", "else"], np.array([0, 0, 1], dtype=object))
+    assert props == pytest.approx([0.5, 0.25, 0.25])
 
 
-def test_link_salting_one_sided_hot_key(ray_session):
+@pytest.mark.parametrize("fused", [False, True], ids=["key", "fused_or"])
+def test_link_salting_one_sided_hot_key(ray_session, fused):
     """A key hot on ONE side with no partner rows must be dropped by the
     count pre-pass (zero possible pairs), not shuffled into one group."""
-    from mismo_ray.linker import KeyLinker
+    from mismo_ray.linker import FusedOrLinker, KeyLinker
 
     left = ray.data.from_arrow(
         pa.table(
@@ -278,7 +283,11 @@ def test_link_salting_one_sided_hot_key(ray_session):
             }
         )
     )
-    lk = KeyLinker("k", salt_rows=256)
+    lk = (
+        FusedOrLinker([["k"]], salt_rows=256)
+        if fused
+        else KeyLinker("k", salt_rows=256)
+    )
     links = lk(left, right).links_ds.to_pandas()
     assert lk.last_counters.get("one_sided_keys_dropped", 0) >= 1
     # the 50 shared keys still link 1:1

@@ -126,6 +126,29 @@ def test_salting_link_task(ray_session):
     assert salted == unsalted
 
 
+def test_string_ids_schema(ray_session):
+    # links.schema declares the record_id type of the input, for the fused
+    # OR linker as for KeyLinker, on both tasks
+    from mismo_ray.linker import FusedOrLinker
+
+    def mk(ids, keys):
+        return ray.data.from_arrow(
+            pa.table({"record_id": pa.array(ids, pa.string()), "k": keys})
+        )
+
+    ds = mk(["a", "b", "c"], ["x", "x", "y"])
+    other = mk(["p", "q"], ["x", "y"])
+    for linker in (KeyLinker("k"), FusedOrLinker([["k"]])):
+        for left, right, n in ((ds, ds, 1), (ds, other, 3)):
+            linkage = linker(left, right)
+            schema = linkage.links.schema
+            assert schema.field("record_id_l").type == pa.string()
+            assert schema.field("record_id_r").type == pa.string()
+            rows = linkage.links_ds.take_all()
+            assert len(rows) == n
+            assert all(isinstance(r["record_id_l"], str) for r in rows)
+
+
 def test_carry_columns(ray_session):
     tbl = pa.table(
         {"record_id": [0, 1], "k": ["a", "a"], "val": [10, 20]}

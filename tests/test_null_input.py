@@ -31,6 +31,7 @@ SF_SRC = "/root/testdata/sf0.001"
 
 QUERIES = [
     "flagship_er",  # was: null source -> null url/html through binary_join
+    "key_linker_link",  # null nation keys drop out before the count pre-pass
     "host_stats",  # was: null group key in Ray groupby boundary sampling
     "mixture_sample",  # was: null dict-encode indices -> rate lookup crash
     "ann_topk",  # was: np.stack over null query embeddings

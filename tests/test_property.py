@@ -561,7 +561,8 @@ def test_sessionize_matches_bruteforce(events, gap_s):
 )
 def test_fused_or_linker_matches_or_linker(a, b, salt_rows):
     # FusedOrLinker (one pass + one shuffle) must produce exactly OrLinker's
-    # pair set for the same rules, including null keys and salting
+    # pair set for the same rules, including null keys, salting and an
+    # asymmetric rule (left a == right b)
     from mismo_ray.linker import FusedOrLinker, KeyLinker, OrLinker
 
     n = min(len(a), len(b))
@@ -573,7 +574,7 @@ def test_fused_or_linker_matches_or_linker(a, b, salt_rows):
         }
     )
     ds = ray.data.from_arrow(t).repartition(2).materialize()
-    rules = [["a"], ["b"], ["a", "b"]]
+    rules = [["a"], ["b"], ["a", "b"], ("a", "b")]
     fused = rows_set(
         FusedOrLinker(rules, salt_rows=salt_rows)(ds, ds).links_ds,
         ["record_id_l", "record_id_r"],
