@@ -5,27 +5,32 @@ propagation, linear in the diameter of the largest component; non-int record
 ids are factorized to int64 first; unlinked records get fresh labels above
 the max existing label.
 
-Two execution paths:
+Both executors work in one int64 code space: int ids are their own codes,
+other ids are factorized by one ``Factorizer`` (bucketed codes over the link
+endpoints and the record ids). They differ only in who computes the labels:
 
-- **driver union-find** (``mode="driver"``, or ``"auto"`` at or below
-  ``DRIVER_THRESHOLD`` edges): collect the edge ids, union-find in a dict,
-  broadcast the labels back to the records.
+- **in process** (``mode="driver"``, or ``"auto"`` at or below
+  ``DRIVER_THRESHOLD`` edges): the edge arrays are collected once and
+  labelled by a vectorized hook-and-pointer-jump pass
+  (``_label_in_process``).
 - **star contraction** (``mode="distributed"``, or ``"auto"`` above the
   threshold; the 10^12-row path): alternating large-star / small-star rounds
   (Kiveris et al., "Connected Components in MapReduce and Beyond", SoCC'14 —
   the arXiv:1802.09478 survey the reference cites) converge in O(log n)
   rounds instead of min-propagation's O(diameter). Every half-round, and the
   final per-node minimum, is one bucketed shuffle whose buckets run one
-  vectorized sort + ``minimum.reduceat`` (``_runs``). Non-int ids are
-  factorized to int64 codes first; labels attach to records by one bucketed
-  lookup in code space (``_attach_labels_coded``).
+  vectorized sort + ``minimum.reduceat`` (``_runs``).
+
+Labels attach to records by one lookup in code space
+(``_attach_labels_coded``): per bucket of one shuffle for star labels,
+map-side against one broadcast Arrow table for in-process labels.
 
 Component label = the minimum int64 code over the component's members
-(identical to the reference's fixpoint). Singletons use their own id/code as
+(identical to the reference's fixpoint). Singletons use their own code as
 the fresh label (unique, disjoint from min-member labels; the reference
 numbers them ``max_label + row_number`` — same semantics, different arbitrary
-values, and no int64 overflow on hash-derived ids). The driver path's
-non-int singletons take an id hash in the >= 2^62 range instead.
+values, and no int64 overflow on hash-derived ids). Both executors give the
+same labels for every id type.
 """
 
 from __future__ import annotations
@@ -34,18 +39,57 @@ import logging
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
 
-from mismo_ray._joins import distinct
-from mismo_ray._util import hash64
+from mismo_ray._joins import default_num_partitions, distinct
+from mismo_ray._util import base_schema_or, hash64, splitmix64
 
 logger = logging.getLogger(__name__)
 
-# mode="auto" runs the driver union-find at or below this many edges
+# mode="auto" labels in process at or below this many edges
 DRIVER_THRESHOLD = 2_000_000
+
+# Factorizer codes: code = bucket + CODE_BUCKETS * rank within the bucket
+CODE_BUCKETS = 1024
 
 
 # --------------------------------------------------------------- factorizer
+def _lookup(
+    keys: pa.Array, mkeys: pa.Array, mvals: pa.Array, on_missing, what: str
+) -> pa.Array:
+    """The value of each of ``keys`` in the mapping ``mkeys -> mvals``:
+    ``pc.index_in`` + ``take`` for scalar keys, a python dict keyed on
+    ``_hashable`` for nested (struct/list) keys. Missing keys raise
+    ``KeyError`` unless ``on_missing(missing_key_array) -> fill value
+    Array`` is given."""
+    # pos = each key's row in the mapping, -1 when missing
+    if pa.types.is_nested(keys.type):
+        local = {_hashable(k): i for i, k in enumerate(mkeys.to_pylist())}
+        pos = np.fromiter(
+            (local.get(_hashable(k), -1) for k in keys.to_pylist()),
+            dtype=np.int64,
+            count=len(keys),
+        )
+    else:
+        idx = pc.index_in(keys, value_set=mkeys).fill_null(-1)
+        pos = np.array(idx, dtype=np.int64)
+    miss = pos < 0
+    if miss.any():
+        if on_missing is None:
+            raise KeyError(
+                f"{int(miss.sum())} keys of '{what}' missing from mapping"
+            )
+        fill = on_missing(keys.filter(pa.array(miss)))
+        if not isinstance(fill, pa.Array):
+            fill = pa.array(list(fill), type=mvals.type)
+        # the fills go after the mapping values: one take serves both
+        pos[miss] = len(mvals) + np.arange(int(miss.sum()))
+        mvals = pa.concat_arrays([mvals, fill.cast(mvals.type)])
+    return pc.take(mvals, pa.array(pos))
+
+
 def bucketed_lookup_join(
     ds: ray.data.Dataset,
     column: str,
@@ -63,22 +107,14 @@ def bucketed_lookup_join(
 
     One keyed shuffle: both sides get ``__bkt__ = hash(key) % B``, are tagged
     and unioned, and each bucket resolves its rows against its slice of the
-    mapping — ``pc.index_in`` + ``take`` for scalar key types, a python dict
-    keyed on ``_hashable`` for nested (struct/list) keys. ``result_name=None``
-    replaces ``column`` in place, else appends. Missing keys raise unless
-    ``on_missing(missing_key_array) -> fill value Array`` is given.
+    mapping with ``_lookup``. ``result_name=None`` replaces ``column`` in
+    place, else appends. Missing keys raise unless ``on_missing`` is given
+    (see ``_lookup``).
     """
-    import pyarrow.compute as pc
-
-    from mismo_ray._joins import default_num_partitions
-
-    from mismo_ray._util import base_schema_or
-
     B = default_num_partitions()
     schema = ds_schema or base_schema_or(ds)  # clear error on empty-unknown
     key_type = schema.field(column).type
     data_cols = list(schema.names)
-    nested = pa.types.is_nested(key_type)
 
     def proj_map(t: pa.Table) -> pa.Table:
         cols = {
@@ -112,33 +148,13 @@ def bucketed_lookup_join(
         side = np.asarray(g["__side__"].to_numpy(zero_copy_only=False))
         mrows = g.filter(pa.array(side == 0))
         drows = g.filter(pa.array(side == 1))
-        keys = drows["__key__"].combine_chunks()
-        mkeys = mrows["__key__"].combine_chunks()
-        mvals = mrows["__val__"].combine_chunks()
-        # pos = each data row's row in the mapping slice, -1 when missing
-        if nested:
-            local = {_hashable(k): i for i, k in enumerate(mkeys.to_pylist())}
-            pos = np.fromiter(
-                (local.get(_hashable(k), -1) for k in keys.to_pylist()),
-                dtype=np.int64,
-                count=len(keys),
-            )
-        else:
-            idx = pc.index_in(keys, value_set=mkeys).fill_null(-1)
-            pos = np.array(idx, dtype=np.int64)
-        miss = pos < 0
-        if miss.any():
-            if on_missing is None:
-                raise KeyError(
-                    f"{int(miss.sum())} keys of '{column}' missing from mapping"
-                )
-            fill = on_missing(keys.filter(pa.array(miss)))
-            if not isinstance(fill, pa.Array):
-                fill = pa.array(list(fill), type=out_type)
-            # the fills go after the mapping values: one take serves both
-            pos[miss] = len(mvals) + np.arange(int(miss.sum()))
-            mvals = pa.concat_arrays([mvals, fill.cast(out_type)])
-        vals = pc.take(mvals, pa.array(pos))
+        vals = _lookup(
+            drows["__key__"].combine_chunks(),
+            mrows["__key__"].combine_chunks(),
+            mrows["__val__"].combine_chunks(),
+            on_missing,
+            column,
+        )
         cols = {}
         for c in data_cols:
             if c == column and result_name is None:
@@ -157,31 +173,21 @@ class Factorizer:
 
     Int ids pass through unchanged (reference Factorizer noop,
     _factorizer.py:43-60). Other types get a unique int64 via bucketed dense
-    assignment: code = bucket + n_buckets * rank_within_bucket — sort-free,
-    deterministic, distributed (SURVEY §2.9).
+    assignment: code = bucket + CODE_BUCKETS * rank_within_bucket —
+    sort-free, deterministic, distributed (SURVEY §2.9).
 
     The id<->code mapping stays a (materialized) Dataset; encode/decode run
     as bucketed lookup joins, so record-id vocabularies as large as the
-    corpus never touch the driver. Only when the vocabulary is provably small
-    (<= broadcast_threshold) is it collected into a broadcast dict fast path.
+    corpus never touch the driver.
     """
 
-    def __init__(
-        self,
-        ids_ds: ray.data.Dataset,
-        *,
-        n_buckets: int = 1024,
-        broadcast_threshold: int = 2_000_000,
-    ):
-        self.n_buckets = n_buckets
+    def __init__(self, ids_ds: ray.data.Dataset):
         _s = ids_ds.schema(fetch_if_missing=True)
         schema = _s.base_schema if _s is not None else pa.schema(
             [pa.field("record_id", pa.int64())]  # empty ids: type is moot
         )
         self.id_type = schema.field("record_id").type
         self.is_int = pa.types.is_integer(self.id_type)
-        self.mapping = None
-        self._decode = None
         if self.is_int:
             return
         # ids -> hash bucket; batch-local pre-dedupe cuts the shuffle volume,
@@ -189,8 +195,6 @@ class Factorizer:
         # groupby on the raw id column would be wrong here: Ray's sort-based
         # shuffle cannot compare nested (struct/list) keys — the int bucket
         # is the only shuffle key this path ever sorts on.
-        import pyarrow.compute as pc
-
         nested = pa.types.is_nested(self.id_type)
 
         def assign(t: pa.Table) -> pa.Table:
@@ -202,7 +206,7 @@ class Factorizer:
                 ids = pa.array(list(seen.values()), type=self.id_type)
             else:
                 ids = pc.unique(ids)
-            bucket = (hash64(ids) % np.uint64(n_buckets)).astype(np.int64)
+            bucket = (hash64(ids) % np.uint64(CODE_BUCKETS)).astype(np.int64)
             return pa.table({"record_id": ids, "bucket": pa.array(bucket)})
 
         bucketed = ids_ds.map_batches(assign, batch_format="pyarrow")
@@ -223,7 +227,7 @@ class Factorizer:
                 uniq = uniq.take(pa.array(order, type=pa.int64()))
             # rank within bucket ordered by id hash: deterministic across
             # runs and parallelism levels (group row order is not)
-            codes = b + n_buckets * np.arange(len(uniq), dtype=np.int64)
+            codes = b + CODE_BUCKETS * np.arange(len(uniq), dtype=np.int64)
             return pa.table({"record_id": uniq, "code": pa.array(codes)})
 
         self.coded = (
@@ -231,16 +235,6 @@ class Factorizer:
             .map_groups(code_group, batch_format="pyarrow")
             .materialize()
         )
-        self.coded_schema = pa.schema(
-            [pa.field("record_id", self.id_type), pa.field("code", pa.int64())]
-        )
-        self.n_codes = self.coded.count()
-        if self.n_codes <= broadcast_threshold:
-            # zero collected rows carry no columns: an empty vocabulary
-            # must still give an (empty) mapping
-            pdf = self.coded.to_pandas().reindex(columns=["record_id", "code"])
-            self.mapping = dict(zip(pdf["record_id"].map(_hashable), pdf["code"]))
-            self._decode = {v: k for k, v in self.mapping.items()}
 
     def encode_column(
         self,
@@ -251,15 +245,6 @@ class Factorizer:
     ) -> ray.data.Dataset:
         if self.is_int:
             return ds
-        if self.mapping is not None:
-            mapping = self.mapping
-
-            def fn(t: pa.Table) -> pa.Table:
-                vals = [mapping[_hashable(v)] for v in t[column].to_pylist()]
-                idx = t.schema.get_field_index(column)
-                return t.set_column(idx, column, pa.array(vals, type=pa.int64()))
-
-            return ds.map_batches(fn, batch_format="pyarrow")
         return bucketed_lookup_join(
             ds,
             column,
@@ -279,16 +264,6 @@ class Factorizer:
     ) -> ray.data.Dataset:
         if self.is_int:
             return ds
-        if self._decode is not None:
-            decode = self._decode
-            id_type = self.id_type
-
-            def fn(t: pa.Table) -> pa.Table:
-                vals = [decode[v] for v in t[column].to_pylist()]
-                idx = t.schema.get_field_index(column)
-                return t.set_column(idx, column, pa.array(vals, type=id_type))
-
-            return ds.map_batches(fn, batch_format="pyarrow")
         # join on the code side: swap key/val roles of the coded mapping
         return bucketed_lookup_join(
             ds,
@@ -309,33 +284,41 @@ def _hashable(v):
     return v
 
 
-# ------------------------------------------------------------------- driver path
-def _cc_driver(edges: ray.data.Dataset) -> dict:
-    """Union-find over collected edges -> {record_id(or hashable): min-code}."""
-    parent: dict = {}
+# ------------------------------------------------------------ in-process path
+def _label_in_process(edges: ray.data.Dataset) -> pa.Table:
+    """Collect the int64 edge set once and label it here -> (record_id,
+    component), one row per endpoint.
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        for v in (a, b):
-            if v not in parent:
-                parent[v] = v
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        ll = b["record_id_l"].to_pylist()
-        rr = b["record_id_r"].to_pylist()
-        for a, c in zip(ll, rr):
-            union(_hashable(a), _hashable(c))
-    return {x: find(x) for x in parent}
+    Ids are compressed by ``np.unique``, so index order is id order. Each
+    pass hooks every edge's larger root under its smaller one
+    (``np.minimum.at``) and pointer-jumps ``p = p[p]`` to a fixpoint; passes
+    repeat on the edges whose endpoints still have two roots. Pointers only
+    move to smaller members, so each component ends rooted at its minimum.
+    Zero-row blocks are skipped: Ray's shuffles emit them without columns.
+    """
+    tables = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
+    n = sum(t.num_rows for t in tables)
+    ends = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [
+            np.asarray(t[c], dtype=np.int64)
+            for c in ("record_id_l", "record_id_r")
+            for t in tables
+        ]
+    )
+    ids, inv = np.unique(ends, return_inverse=True)
+    a, b = inv[:n], inv[n:]
+    p = np.arange(len(ids))
+    while True:
+        ra, rb = p[a], p[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(p, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(p, q := p[p]):
+            p = q
+    return pa.table({"record_id": ids, "component": ids[p]})
 
 
 # -------------------------------------------------------------- distributed path
@@ -367,11 +350,6 @@ def _cc_star(
     invariant and the converged stars are rooted at it — the SAME labels
     min-propagation produces.
     """
-    import pyarrow.compute as pc
-
-    from mismo_ray._joins import default_num_partitions
-    from mismo_ray._util import splitmix64
-
     # the edge set is consumed twice (the star rounds AND the final
     # identity-labels union); pin it so a lazy upstream pair-gen lineage
     # does not re-execute (a no-op when mode="auto" pinned it already)
@@ -542,7 +520,6 @@ def connected_components(
     max_iter: int | None = None,
     label_as: str = "component",
     mode: str = "auto",
-    factorize_broadcast_threshold: int = 2_000_000,
     checkpoint_dir: str | None = None,
 ) -> ray.data.Dataset:
     """Label records by connected component of the link graph.
@@ -550,10 +527,12 @@ def connected_components(
     Returns (record_id, <label_as>) when ``records`` is None, else ``records``
     with a <label_as> column appended (singletons included).
 
-    ``mode``: "driver" (union-find on the driver), "distributed"
-    (large-star/small-star contraction, O(log n) rounds) or "auto" (driver
-    at or below ``DRIVER_THRESHOLD`` edges, else distributed). Both give the
-    same labels: the min member id (code) per component.
+    ``mode``: "driver" (vectorized labelling in this process),
+    "distributed" (large-star/small-star contraction, O(log n) rounds) or
+    "auto" (driver at or below ``DRIVER_THRESHOLD`` edges, else
+    distributed). Both give the same labels for every id type: the min
+    member code per component, a singleton's own code. ``max_iter`` and
+    ``checkpoint_dir`` apply to the distributed rounds.
     """
     if mode not in ("auto", "driver", "distributed"):
         raise ValueError(f"mode must be auto/driver/distributed, got {mode!r}")
@@ -561,8 +540,8 @@ def connected_components(
         _rs0 = records.schema(fetch_if_missing=True)
         if _rs0 is not None and label_as in _rs0.base_schema.names:
             # append_column would emit a DUPLICATE column name on the
-            # broadcast path and the lookup join would silently overwrite
-            # the records' original column on the coded path
+            # map-side attach and the lookup join would silently overwrite
+            # the records' original column on the bucketed one
             raise ValueError(
                 f"records already have a column named {label_as!r}; pass a "
                 "different label_as"
@@ -572,9 +551,8 @@ def connected_components(
         # Materialize the pruned 2-col edge set BEFORE the routing count:
         # count() would otherwise execute the full upstream pair-gen lineage
         # (ngram/LSH shuffles) once for the count and AGAIN for the chosen
-        # CC path. The distributed path materializes edges internally
-        # anyway (it iterates the edge set over rounds), so this only
-        # moves the pin earlier; 16 B/edge, spills past the store budget.
+        # CC path. Both paths read the edge set anyway, so this only moves
+        # the pin earlier; 16 B/edge, spills past the store budget.
         edges = edges.materialize()
         mode = "driver" if edges.count() <= DRIVER_THRESHOLD else "distributed"
 
@@ -590,44 +568,10 @@ def connected_components(
             "list-typed record ids are not supported by "
             "connected_components; use a struct or scalar id column"
         )
-    int_ids = pa.types.is_integer(id_type)
 
-    if mode == "driver":
-        comp = _cc_driver(edges)
-        if not int_ids:
-            # factorize: min-code semantics need int codes; order by first-seen
-            codes = {k: i for i, k in enumerate(sorted(comp.keys(), key=repr))}
-            roots = {k: codes[v] for k, v in comp.items()}
-            # component = min code within component
-            min_per_root: dict = {}
-            for k, r in roots.items():
-                c = codes[k]
-                if r not in min_per_root or c < min_per_root[r]:
-                    min_per_root[r] = c
-            comp = {k: min_per_root[r] for k, r in roots.items()}
-        labels_map = comp
-        if records is None:
-            keys = list(labels_map.keys())
-            rid_arr = (
-                pa.array(keys, type=id_type)
-                if not isinstance(keys[0] if keys else None, tuple)
-                else pa.array([dict(k) for k in keys], type=id_type)
-            )
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "record_id": rid_arr,
-                        label_as: pa.array(
-                            [labels_map[k] for k in keys], type=pa.int64()
-                        ),
-                    }
-                )
-            )
-        return _attach_labels_broadcast(records, labels_map, label_as)
-
-    # distributed path: ids must be int64 (factorize otherwise)
+    # ids must be int64 codes (factorize otherwise)
     f = None
-    if not int_ids:
+    if not pa.types.is_integer(id_type):
         both = edges.map_batches(
             lambda t: pa.table(
                 {
@@ -647,7 +591,7 @@ def connected_components(
             # can be own-code (collision-free) instead of a 62-bit hash
             # (birthday-colliding at ~1e9 singletons)
             both = both.union(records.select_columns(["record_id"]))
-        f = Factorizer(both, broadcast_threshold=factorize_broadcast_threshold)
+        f = Factorizer(both)
         edges = f.encode_column(
             edges,
             "record_id_l",
@@ -662,9 +606,14 @@ def connected_components(
                 [pa.field("record_id_l", pa.int64()), pa.field("record_id_r", id_type)]
             ),
         )
-    labels = _cc_star(edges, max_iter=max_iter, checkpoint_dir=checkpoint_dir)
+    if mode == "driver":
+        labels = _label_in_process(edges)
+    else:
+        labels = _cc_star(edges, max_iter=max_iter, checkpoint_dir=checkpoint_dir)
     if records is not None:
         return _attach_labels_coded(records, labels, f, label_as, id_type)
+    if isinstance(labels, pa.Table):
+        labels = ray.data.from_arrow(labels)
     if f is not None:
         labels = f.decode_column(
             labels,
@@ -673,35 +622,36 @@ def connected_components(
                 [pa.field("record_id", pa.int64()), pa.field("component", pa.int64())]
             ),
         )
-    return labels.map_batches(
-        lambda t: t.rename_columns(
-            [label_as if c == "component" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
-    )
+
+    def finish(t: pa.Table) -> pa.Table:
+        # int ids come back in their own type (codes are int64)
+        rid = t["record_id"] if f is not None else t["record_id"].cast(id_type)
+        return pa.table({"record_id": rid, label_as: t["component"]})
+
+    return labels.map_batches(finish, batch_format="pyarrow")
 
 
 def _attach_labels_coded(
     records: ray.data.Dataset,
-    labels: ray.data.Dataset,
+    labels: ray.data.Dataset | pa.Table,
     f: Factorizer | None,
     label_as: str,
     id_type: pa.DataType,
 ) -> ray.data.Dataset:
-    """Attach component labels to records by one bucketed lookup in code
-    space.
+    """Attach component labels to records by one lookup in code space.
 
-    ``labels`` is in code space (record_id = code). Int ids are their own
-    codes (``f`` is None); other ids are encoded with the SAME factorizer,
-    which covered the record ids at build time. A record missing from the
-    labels — a singleton — takes its own code as the label. Own-codes are
-    unique and belong to unlinked records, so they cannot collide with any
-    linked component's min-code label (unlike a 62-bit id-hash scheme, which
-    has non-negligible birthday collisions at ~1e9 singletons)."""
-    _bs = records.schema(fetch_if_missing=True)
-    base = _bs.base_schema if _bs is not None else pa.schema(
-        [pa.field("record_id", id_type)]  # empty records: nothing to attach
-    )
+    ``labels`` (record_id = code, component) is a Dataset from star
+    contraction, looked up per bucket of one shuffle, or an Arrow table from
+    the in-process pass, put in the object store once and looked up
+    map-side. Int ids are their own codes (``f`` is None); other ids are
+    encoded with the SAME factorizer, which covered the record ids at build
+    time. A record missing from the labels — a singleton — takes its own
+    code as the label. Own-codes are unique and belong to unlinked records,
+    so they cannot collide with any linked component's min-code label
+    (unlike a 62-bit id-hash scheme, which has non-negligible birthday
+    collisions at ~1e9 singletons)."""
+    # empty records: nothing to attach
+    base = base_schema_or(records, pa.schema([pa.field("record_id", id_type)]))
     code = "record_id"
     if f is not None:
         code = "__cc_code__"
@@ -715,56 +665,35 @@ def _attach_labels_coded(
             ds_schema=base.append(pa.field(code, id_type)),
         )
         base = base.append(pa.field(code, pa.int64()))
-    out = bucketed_lookup_join(
-        records,
-        code,
-        labels,
-        key_name="record_id",
-        val_name="component",
-        out_type=pa.int64(),
-        result_name=label_as,
-        ds_schema=base,
-        on_missing=lambda missing: missing.cast(pa.int64()),
-    )
+
+    def own_code(missing: pa.Array) -> pa.Array:
+        return missing.cast(pa.int64())
+
+    if isinstance(labels, pa.Table):
+        ref = ray.put(labels)
+
+        def attach(t: pa.Table) -> pa.Table:
+            lab = ray.get(ref)
+            vals = _lookup(
+                t[code].combine_chunks().cast(pa.int64()),
+                lab["record_id"].combine_chunks(),
+                lab["component"].combine_chunks(),
+                own_code,
+                code,
+            )
+            return t.append_column(label_as, vals)
+
+        out = records.map_batches(attach, batch_format="pyarrow")
+    else:
+        out = bucketed_lookup_join(
+            records,
+            code,
+            labels,
+            key_name="record_id",
+            val_name="component",
+            out_type=pa.int64(),
+            result_name=label_as,
+            ds_schema=base,
+            on_missing=own_code,
+        )
     return out if f is None else out.drop_columns([code])
-
-
-def _attach_labels_broadcast(
-    records: ray.data.Dataset, labels_map: dict, label_as: str
-) -> ray.data.Dataset:
-    """Attach component labels; singleton records (no links) get fresh
-    unique labels (own-id / id-hash — see the branch comments; the
-    reference's max_label+row_number numbering is deliberately not used)."""
-    import ray
-
-    ref = ray.put(labels_map)
-
-    _rs = records.schema(fetch_if_missing=True)
-    id_type = (
-        _rs.base_schema.field("record_id").type if _rs is not None else pa.int64()
-    )  # empty records: type is moot
-    int_ids = pa.types.is_integer(id_type)
-
-    def fn(t: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        ids = t["record_id"].to_pylist()
-        out = []
-        for i, v in enumerate(ids):
-            k = _hashable(v)
-            if k in m:
-                out.append(int(m[k]))
-            elif int_ids:
-                # component labels are min-member ids of LINKED records; a
-                # singleton's own id is unique and disjoint from those, so it
-                # is itself a valid fresh label (and cannot overflow, unlike
-                # the reference's max_label + row_number numbering).
-                out.append(int(v))
-            else:
-                # unique fresh label from the id hash; the high bit-range
-                # (>= 2^62) cannot collide with factorized codes.
-                out.append(
-                    int((hash64([k])[0] >> np.uint64(2)) | np.uint64(1 << 62))
-                )
-        return t.append_column(label_as, pa.array(out, type=pa.int64()))
-
-    return records.map_batches(fn, batch_format="pyarrow")

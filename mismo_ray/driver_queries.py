@@ -282,7 +282,7 @@ def q_connected_components(sf_dir: str):
 def q_connected_components_star(sf_dir: str):
     """Same graph as connected_components but labeled by the distributed
     path (mode='distributed': large-star/small-star contraction, O(log n)
-    rounds) instead of the driver union-find that mode='auto' picks at this
+    rounds) instead of the in-process pass that mode='auto' picks at this
     size — the labels must be identical (component = min member id), so
     this oracles the distributed path against the same recursive-CTE
     oracle."""
@@ -306,9 +306,9 @@ def q_connected_components_star(sf_dir: str):
 
 def q_connected_components_str(sf_dir: str):
     """CC over STRING record ids through the corpus-scale path: Factorizer
-    encode/decode and singleton attach all as bucketed lookup joins (no
-    broadcast dict, no driver union-find). Output component label = min
-    member record-id string (SQL-expressible, unlike raw factorized codes)."""
+    encode, star contraction and singleton attach all as distributed
+    shuffles. Output component label = min member record-id string
+    (SQL-expressible, unlike raw factorized codes)."""
     from ray.data.aggregate import Min
 
     from mismo_ray._joins import hash_join
@@ -327,7 +327,6 @@ def q_connected_components_str(sf_dir: str):
         links=linkage.links_ds,
         records=recs.select_columns(["record_id"]),
         mode="distributed",
-        factorize_broadcast_threshold=0,
     )
     mins = labeled.groupby("component").aggregate(
         Min("record_id", alias_name="component_id")

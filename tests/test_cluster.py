@@ -121,9 +121,8 @@ def test_cc_struct_ids(ray_session):
 
 
 def test_cc_string_ids_join_path(ray_session):
-    """Force the corpus-scale path end to end: no broadcast dict anywhere —
-    Factorizer encode/decode and singleton label attach all run as bucketed
-    lookup joins (mode="distributed", factorize_broadcast_threshold=0)."""
+    """The corpus-scale path end to end (mode="distributed"): Factorizer
+    encode and singleton label attach all run as bucketed lookup joins."""
     links = edges_ds(
         [("a", "x"), ("b", "x"), ("b", "y"), ("c", "y"), ("g", "h")],
         id_type=pa.string(),
@@ -139,12 +138,7 @@ def test_cc_string_ids_join_path(ray_session):
             }
         )
     )
-    labeled = connected_components(
-        links=links,
-        records=records,
-        mode="distributed",
-        factorize_broadcast_threshold=0,
-    )
+    labeled = connected_components(links=links, records=records, mode="distributed")
     rows = labeled.take_all()
     comp = {r["record_id"]: r["component"] for r in rows}
     assert comp["a"] == comp["b"] == comp["c"] == comp["x"] == comp["y"]
@@ -156,19 +150,15 @@ def test_cc_string_ids_join_path(ray_session):
 
 
 def test_cc_struct_ids_join_path(ray_session):
-    """Nested (struct) record ids through the no-broadcast join path — the
-    in-bucket python-dict fallback of bucketed_lookup_join."""
+    """Nested (struct) record ids through the distributed path: Factorizer
+    encode/decode run the python-dict fallback of the nested-key lookup."""
     id_type = pa.struct([("dataset", pa.string()), ("record_id", pa.int64())])
     mk = lambda d, i: {"dataset": d, "record_id": i}
     links = edges_ds(
         [(mk("a", 1), mk("b", 1)), (mk("a", 2), mk("b", 2)), (mk("b", 2), mk("a", 3))],
         id_type=id_type,
     )
-    labels = connected_components(
-        links=links,
-        mode="distributed",
-        factorize_broadcast_threshold=0,
-    )
+    labels = connected_components(links=links, mode="distributed")
     rows = labels.take_all()
     by_comp: dict = {}
     for r in rows:
@@ -181,6 +171,46 @@ def test_cc_struct_ids_join_path(ray_session):
         frozenset({a("a", 1), a("b", 1)}),
         frozenset({a("a", 2), a("b", 2), a("a", 3)}),
     }
+
+
+CROSS_MODE_IDS = ["b", "a", "d", "c", "x", "y", "s1", "s2"]
+
+
+def _cross_mode_id(kind: str, i: int):
+    if kind == "int":
+        return i
+    if kind == "string":
+        return CROSS_MODE_IDS[i]
+    return {"dataset": "ab"[i % 2], "record_id": 100 - i}
+
+
+@pytest.mark.parametrize("with_records", [False, True])
+@pytest.mark.parametrize("kind", ["int", "string", "struct"])
+def test_cc_modes_give_equal_rows(ray_session, kind, with_records):
+    """mode="driver" and mode="distributed" return the same
+    (record_id, component) rows for every id type, singletons included:
+    both label in one code space (graph b–a, d–c, x–y, s1 and s2 unlinked)."""
+    id_type = {
+        "int": pa.int64(),
+        "string": pa.string(),
+        "struct": pa.struct([("dataset", pa.string()), ("record_id", pa.int64())]),
+    }[kind]
+    ids = [_cross_mode_id(kind, i) for i in range(len(CROSS_MODE_IDS))]
+    links = edges_ds([(ids[0], ids[1]), (ids[2], ids[3]), (ids[4], ids[5])], id_type)
+    records = None
+    if with_records:
+        records = ray.data.from_arrow(
+            pa.table({"record_id": pa.array(ids, type=id_type), "v": range(len(ids))})
+        )
+
+    def rows(mode):
+        out = connected_components(links=links, records=records, mode=mode)
+        key = lambda rid: tuple(sorted(rid.items())) if kind == "struct" else rid
+        return {(key(r["record_id"]), r["component"], r.get("v")) for r in out.take_all()}
+
+    driver, distributed = rows("driver"), rows("distributed")
+    assert driver == distributed
+    assert len({c for _, c, _ in driver}) == (5 if with_records else 3)
 
 
 @pytest.mark.parametrize("mode", ["driver", "distributed"])
@@ -283,7 +313,7 @@ def test_subgraph(ray_session):
 def test_cc_star_chain_converges_in_log_rounds(ray_session):
     """Diameter-120 chain: the distributed (star contraction) path must
     finish within 12 rounds (O(log n)); min-propagation would need ~120.
-    Labels = min member id, same as driver union-find."""
+    Labels = min member id, same as mode="driver"."""
     import pyarrow as pa
 
     from mismo_ray.cluster import connected_components

@@ -59,9 +59,11 @@ def test_key_linker_matches_bruteforce(keys, salt_rows):
     edges=st.lists(
         st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=0, max_size=30
     ),
-    mode=st.sampled_from(["driver", "distributed"]),
+    as_str=st.booleans(),
 )
-def test_cc_matches_unionfind(edges, mode):
+def test_cc_matches_unionfind(edges, as_str):
+    """Both modes give the brute-force union-find's partition, and the same
+    label values, for int and string ids."""
     # brute-force union-find
     parent = {}
 
@@ -77,24 +79,30 @@ def test_cc_matches_unionfind(edges, mode):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+    name = (lambda x: f"n{x}") if as_str else (lambda x: x)
     expected_clusters = {}
     for x in parent:
-        expected_clusters.setdefault(find(x), set()).add(x)
+        expected_clusters.setdefault(find(x), set()).add(name(x))
     expected = {frozenset(v) for v in expected_clusters.values()}
 
+    id_type = pa.string() if as_str else pa.int64()
     ds = ray.data.from_arrow(
         pa.table(
             {
-                "record_id_l": pa.array([a for a, _ in edges], type=pa.int64()),
-                "record_id_r": pa.array([b for _, b in edges], type=pa.int64()),
+                "record_id_l": pa.array([name(a) for a, _ in edges], type=id_type),
+                "record_id_r": pa.array([name(b) for _, b in edges], type=id_type),
             }
         )
     )
-    labels = connected_components(links=ds, mode=mode).take_all()
-    got_clusters = {}
-    for r in labels:
-        got_clusters.setdefault(r["component"], set()).add(r["record_id"])
-    assert {frozenset(v) for v in got_clusters.values()} == expected
+    labels = {}
+    for mode in ("driver", "distributed"):
+        rows = connected_components(links=ds, mode=mode).take_all()
+        labels[mode] = {r["record_id"]: r["component"] for r in rows}
+        got_clusters = {}
+        for rid, comp in labels[mode].items():
+            got_clusters.setdefault(comp, set()).add(rid)
+        assert {frozenset(v) for v in got_clusters.values()} == expected
+    assert labels["driver"] == labels["distributed"]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -8,6 +8,7 @@ row-count + schema + order-insensitive values. Usage:
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -36,7 +37,8 @@ def main():
     )
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script lives in, not whichever one is on sys.path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as entry_mod
 
     queries = entry_mod.queries()
