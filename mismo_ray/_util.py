@@ -11,6 +11,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # 64-bit mixing constants (splitmix64; public domain algorithm).
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -94,6 +95,33 @@ def is_null_mask(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     return np.asarray(arr.is_null())
+
+
+def factorize_pair_sides(vals_l, vals_r) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Codes of both sides of a pair batch into ONE dictionary of distinct
+    values (-1 = null), via ``pc.dictionary_encode`` of each side and of
+    their two dictionaries. ``vals_l`` / ``vals_r``: equal-length Arrow
+    string arrays (chunked or not) or sequences of ``str | None``. Returns
+    ``(codes_l, codes_r, values)``, ``values`` a null-free ``large_string``
+    array, so a pair kernel can work once per distinct value."""
+
+    def encode(v) -> tuple[np.ndarray, pa.Array]:
+        if isinstance(v, pa.ChunkedArray):
+            v = v.combine_chunks()
+        if not isinstance(v, pa.Array) or pa.types.is_null(v.type):
+            v = pa.array(v, type=pa.large_string())
+        d = pc.dictionary_encode(v)
+        idx = pc.fill_null(d.indices, -1).to_numpy(zero_copy_only=False)
+        return idx.astype(np.int64), d.dictionary.cast(pa.large_string())
+
+    idx_l, dict_l = encode(vals_l)
+    idx_r, dict_r = encode(vals_r)
+    both = pc.dictionary_encode(pa.concat_arrays([dict_l, dict_r]))
+    remap = both.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    # a trailing -1 makes index -1 (null) map to -1
+    map_l = np.append(remap[: len(dict_l)], -1)
+    map_r = np.append(remap[len(dict_l) :], -1)
+    return map_l[idx_l], map_r[idx_r], both.dictionary
 
 
 def table_from_arrays(names_arrays: dict) -> pa.Table:

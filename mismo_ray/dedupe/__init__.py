@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from mismo_ray._util import hash64, splitmix64
+from mismo_ray._util import factorize_pair_sides, hash64, splitmix64
 from mismo_ray.linker._unnest import UnnestLinker
 from mismo_ray.types import Linkage
 
@@ -262,29 +262,6 @@ def minhash_lsh_keys(
     return band_keys_from_signatures(sig, valid, n_bands=n_bands)[0]
 
 
-def _factorize_pair_sides(vals_l, vals_r) -> tuple[np.ndarray, np.ndarray, list]:
-    """Codes of both sides into ONE list of unique values (-1 = null), via
-    ``pc.dictionary_encode`` of each side and of their two dictionaries."""
-
-    def encode(v) -> tuple[np.ndarray, pa.Array]:
-        if isinstance(v, pa.ChunkedArray):
-            v = v.combine_chunks()
-        if not isinstance(v, pa.Array) or pa.types.is_null(v.type):
-            v = pa.array(v, type=pa.large_string())
-        d = pc.dictionary_encode(v)
-        idx = pc.fill_null(d.indices, -1).to_numpy(zero_copy_only=False)
-        return idx.astype(np.int64), d.dictionary.cast(pa.large_string())
-
-    idx_l, dict_l = encode(vals_l)
-    idx_r, dict_r = encode(vals_r)
-    both = pc.dictionary_encode(pa.concat_arrays([dict_l, dict_r]))
-    remap = both.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    # a trailing -1 makes index -1 (null) map to -1
-    map_l = np.append(remap[: len(dict_l)], -1)
-    map_r = np.append(remap[len(dict_l) :], -1)
-    return map_l[idx_l], map_r[idx_r], both.dictionary.to_pylist()
-
-
 # posting-run pair keys enumerated per step of ``_overlaps_from_postings``
 # (bounds its temporaries to a few tens of MB)
 _POSTING_CHUNK = 1 << 20
@@ -351,7 +328,7 @@ def hash_set_jaccard_batch(
     most values (boilerplate) makes the posting runs quadratic. Empty-vs-
     anything = 0.0 (matches ``sets.jaccard``); a null on either side = 0.0
     (candidates never have null keys)."""
-    codes_l, codes_r, uniq = _factorize_pair_sides(vals_l, vals_r)
+    codes_l, codes_r, uniq = factorize_pair_sides(vals_l, vals_r)
     out = np.zeros(len(codes_l), dtype=np.float64)
     ok = np.flatnonzero((codes_l >= 0) & (codes_r >= 0))
     if not len(ok):
@@ -359,8 +336,8 @@ def hash_set_jaccard_batch(
     a, b = codes_l[ok], codes_r[ok]
     used = np.unique(np.r_[a, b])  # values of non-null pairs only
     sets: list = [None] * len(uniq)
-    for u in used.tolist():
-        sets[u] = np.unique(shingle_fn(uniq[u]))
+    for u, v in zip(used.tolist(), uniq.take(used).to_pylist()):
+        sets[u] = np.unique(shingle_fn(v))
     sizes = np.zeros(len(uniq), dtype=np.int64)
     sizes[used] = [len(sets[u]) for u in used.tolist()]
     hashes = np.concatenate([sets[u] for u in used.tolist()])
@@ -381,20 +358,39 @@ def hash_set_jaccard_batch(
     return out
 
 
-def _sig_agreement(t: pa.Table, num_hashes: int) -> np.ndarray:
-    """Row-wise minhash-signature agreement fraction (jaccard estimator,
-    std ~ sqrt(j(1-j)/num_hashes)) over fixed-size-list sig columns."""
-    sl, sr = t["__sig___l"], t["__sig___r"]
-    if isinstance(sl, pa.ChunkedArray):
-        sl = sl.combine_chunks()
-    if isinstance(sr, pa.ChunkedArray):
-        sr = sr.combine_chunks()
-    n = len(sl)
-    if n == 0:
-        return np.zeros(0)
-    a = np.asarray(sl.flatten()).reshape(n, num_hashes)
-    b = np.asarray(sr.flatten()).reshape(n, num_hashes)
-    return (a == b).mean(axis=1)
+def signature_array(sig: np.ndarray, valid: np.ndarray) -> pa.FixedSizeListArray:
+    """``(n, k)`` minhash signatures as a fixed-size-list column, null where
+    not ``valid`` (no signature: null or empty text)."""
+    return pa.FixedSizeListArray.from_arrays(
+        pa.array(sig.astype(np.int64).ravel()), sig.shape[1], mask=pa.array(~valid)
+    )
+
+
+def signature_rows(col) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed-size-list signature column (chunked or not, possibly sliced)
+    as an ``(n, k)`` int64 matrix plus its validity mask; null rows are 0."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    k = col.type.list_size
+    # ``values`` ignores the slice offset; a null slot still holds k
+    # (possibly null) child values, so the reshape stays row-aligned
+    vals = pc.fill_null(col.values.slice(col.offset * k, len(col) * k), 0)
+    mat = vals.to_numpy().astype(np.int64, copy=False).reshape(len(col), k)
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    if not valid.all():
+        mat = np.where(valid[:, None], mat, 0)
+    return mat, valid
+
+
+def sig_agreement(sl, sr) -> np.ndarray:
+    """Row-wise agreement fraction of two fixed-size-list minhash signature
+    columns (the jaccard estimator, std ~ sqrt(j(1-j)/k)). A null signature
+    on either side agrees with nothing (0.0)."""
+    a, ok_a = signature_rows(sl)
+    b, ok_b = signature_rows(sr)
+    agree = (a == b).mean(axis=1)
+    agree[~(ok_a & ok_b)] = 0.0
+    return agree
 
 
 def minhash_lsh_pairs(
@@ -494,16 +490,7 @@ def minhash_lsh_pairs(
                 seed=seed,
             )
             return pa.table(
-                {
-                    "record_id": batch["record_id"],
-                    "__sig__": pa.array(
-                        [
-                            sig[i].astype(np.int64).tolist() if valid[i] else None
-                            for i in range(len(valid))
-                        ],
-                        type=pa.list_(pa.int64(), num_hashes),
-                    ),
-                }
+                {"record_id": batch["record_id"], "__sig__": signature_array(sig, valid)}
             )
 
     link = right is not None and right is not ds
@@ -517,28 +504,9 @@ def minhash_lsh_pairs(
     )
 
     def keys_fn(batch: pa.Table) -> pa.Array:
-        sigcol = batch["__sig__"]
-        if isinstance(sigcol, pa.ChunkedArray):
-            sigcol = sigcol.combine_chunks()
-        n = len(sigcol)
-        valid = ~np.asarray(sigcol.is_null())
-        if n == 0:
-            return pa.array([], type=pa.list_(pa.int64()))
-        if valid.all():
-            sig = (
-                np.asarray(sigcol.flatten())
-                .reshape(n, num_hashes)
-                .astype(np.int64)
-                .astype(np.uint64)
-            )
-        else:
-            # rare null-sig rows: flatten() length no longer matches n*k
-            sig = np.zeros((n, num_hashes), dtype=np.uint64)
-            for i, v in enumerate(sigcol.to_pylist()):
-                if v is not None:
-                    sig[i] = np.asarray(v, dtype=np.int64).astype(np.uint64)
+        sig, valid = signature_rows(batch["__sig__"])
         return pa.array(
-            band_keys_from_signatures(sig, valid, n_bands=n_bands),
+            band_keys_from_signatures(sig.astype(np.uint64), valid, n_bands=n_bands),
             type=pa.list_(pa.int64()),
         )
 
@@ -643,7 +611,7 @@ def minhash_lsh_pairs(
         raise ValueError("verify_mode must be 'hybrid', 'exact' or 'est'")
 
     def tag_fn(t: pa.Table) -> pa.Table:
-        est = _sig_agreement(t, num_hashes)
+        est = sig_agreement(t["__sig___l"], t["__sig___r"])
         tag = np.where(est >= hi, 2, np.where(est > lo, 1, 0)).astype(np.int8)
         out = pa.table(
             {

@@ -684,29 +684,21 @@ def add_sketches(pages: ray.data.Dataset, *, num_hashes: int = 16) -> ray.data.D
     ``fp`` (64-bit content hash) + ``sig`` (k-minhash over word shingles).
     ~150 bytes/row vs ~1 KB of raw text — the 100 TB discipline: never ship
     the document through the blocking shuffle when a sketch will do."""
-    from mismo_ray.dedupe import minhash_signatures_charhash_batch
+    from mismo_ray.dedupe import minhash_signatures_charhash_batch, signature_array
     from mismo_ray._util import hash64
 
     def fn(t: pa.Table) -> pa.Table:
-        texts = t["extracted_text"].to_pylist()
+        text = t["extracted_text"]
+        texts = text.to_pylist()
         sig, valid = minhash_signatures_charhash_batch(
             texts, num_hashes=num_hashes, shingle_w=24
         )
         fp = hash64(texts).astype(np.int64)
         # contentless pages carry a NULL fingerprint: a shared hash of ''
         # would make every empty page an "exact" text match of every other
-        empty = np.array([s is None or s == "" for s in texts], dtype=bool)
+        empty = pc.fill_null(pc.equal(text, ""), True).to_numpy(zero_copy_only=False)
         t = t.append_column("fp", pa.array(fp, mask=empty))
-        return t.append_column(
-            "sig",
-            pa.array(
-                [
-                    sig[i].astype(np.int64).tolist() if valid[i] else None
-                    for i in range(len(texts))
-                ],
-                type=pa.list_(pa.int64(), num_hashes),
-            ),
-        )
+        return t.append_column("sig", signature_array(sig, valid))
 
     return pages.map_batches(fn, batch_format="pyarrow")
 
@@ -716,6 +708,8 @@ def sketch_comparers() -> list[LevelComparer]:
     jaccard estimated by minhash agreement instead of exact shingles)."""
 
     import weakref
+
+    from mismo_ray.dedupe import sig_agreement
 
     # per-batch memo: text_near and text_similar see the SAME table object
     # (np.select evaluates every level), so the 16-wide signature compare
@@ -727,37 +721,7 @@ def sketch_comparers() -> list[LevelComparer]:
         r = memo["ref"]
         if r is not None and r() is t:
             return memo["val"]
-        sl = t["sig_l"]
-        sr = t["sig_r"]
-        if isinstance(sl, pa.ChunkedArray):
-            sl = sl.combine_chunks()
-        if isinstance(sr, pa.ChunkedArray):
-            sr = sr.combine_chunks()
-        n = len(sl)
-        if n == 0:
-            return np.zeros((0,))
-
-        def mat(col) -> tuple[np.ndarray, np.ndarray]:
-            # null-sig rows (empty-text pages): flatten() DROPS null slots,
-            # so a bare reshape(n, -1) crashes or silently shifts every
-            # later row (same guard dedupe's keys_fn uses)
-            if col.null_count == 0:
-                m = np.asarray(col.flatten()).reshape(n, -1)
-                return m, np.ones(n, dtype=bool)
-            rows = col.to_pylist()
-            width = next((len(v) for v in rows if v is not None), 1)
-            m = np.zeros((n, width), dtype=np.int64)
-            ok = np.zeros(n, dtype=bool)
-            for i, v in enumerate(rows):
-                if v is not None:
-                    m[i] = v
-                    ok[i] = True
-            return m, ok
-
-        a, ok_a = mat(sl)
-        b, ok_b = mat(sr)
-        val = (a == b).mean(axis=1)
-        val[~(ok_a & ok_b)] = 0.0  # a null signature agrees with nothing
+        val = sig_agreement(t["sig_l"], t["sig_r"])
         memo["ref"], memo["val"] = weakref.ref(t), val
         return val
 

@@ -13,8 +13,14 @@ Pinned semantics (reference doctests):
   delegates to (_similarity.py:40-47).
 
 Scalar functions take ``str | None``; the ``*_array`` forms are vectorized
-across a batch of pairs (numpy DP across the pair axis for Levenshtein) for use
-inside ``map_batches``.
+across a batch of pairs for use inside ``map_batches``. ``levenshtein_array``
+and ``jaro(_winkler)_similarity_array`` factorize both sides into one
+dictionary (``factorize_pair_sides``): identical values are answered from
+their codes, and lengths and codepoint rows are built once per distinct value
+(a hot key pairs a few thousand values into ~10^5 pairs) and gathered per
+pair, so the per-string encode no longer runs per pair. The kernel itself
+(numpy across the pair axis) runs once per non-identical pair. Results are
+bit-identical to the scalar functions.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from mismo_ray._util import factorize_pair_sides
 
 
 # ---------------------------------------------------------------- scalar fns
@@ -163,41 +171,62 @@ def _to_pylist(x):
     return list(x)
 
 
-def levenshtein_array(a, b) -> pa.Array:
-    """Vectorized-across-pairs Levenshtein over two equal-length sequences.
+def _pair_codes(a, b, mask=None):
+    """Factorize both sides once: ``(valid, cl, cr, values)``, where
+    ``valid`` marks the pairs with both sides non-null (and ``mask`` true)
+    and ``(cl, cr)`` are those pairs' codes into ``values``."""
+    codes_l, codes_r, values = factorize_pair_sides(a, b)
+    valid = (codes_l >= 0) & (codes_r >= 0)
+    if mask is not None:
+        valid &= np.asarray(mask, dtype=bool)
+    return valid, codes_l[valid], codes_r[valid], values
 
-    Runs the DP with numpy ops across the pair axis: O(maxlen_a * maxlen_b)
-    python iterations, each a vector op over all pairs in the batch.
-    Falls back to per-pair python for batches with very long strings.
+
+def _value_strings(values: pa.Array, cl, cr):
+    """The values the pairs ``(cl, cr)`` name, once each: python strings,
+    codepoint lengths, and each side's row into them."""
+    used = np.zeros(len(values), dtype=bool)
+    used[cl] = used[cr] = True
+    row = np.cumsum(used) - 1
+    strs = values.take(pa.array(np.flatnonzero(used))).to_pylist()
+    lens = np.fromiter(map(len, strs), dtype=np.int32, count=len(strs))
+    return strs, lens, row[cl], row[cr]
+
+
+def _codepoint_matrix(strs, lens) -> np.ndarray:
+    """Zero-padded ``(len(strs), max(lens))`` uint32 codepoint rows, from
+    one utf-32 encode of all the strings."""
+    flat = np.frombuffer("".join(strs).encode("utf-32-le"), dtype=np.uint32)
+    M = np.zeros((len(strs), int(lens.max(initial=0))), dtype=np.uint32)
+    col = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    M[np.repeat(np.arange(len(strs)), lens), col] = flat
+    return M
+
+
+def levenshtein_array(a, b) -> pa.Array:
+    """Vectorized Levenshtein over two equal-length sequences of pairs.
+
+    Runs the DP with numpy ops across the non-identical pairs:
+    O(maxlen_a * maxlen_b) python iterations, each a vector op.
+    Falls back to per-pair python for very long strings.
     """
-    al, bl = _to_pylist(a), _to_pylist(b)
-    n = len(al)
-    out = np.zeros(n, dtype=np.float64)
-    valid = np.array([x is not None and y is not None for x, y in zip(al, bl)])
-    idx = np.nonzero(valid)[0]
-    if len(idx) == 0:
-        return pa.array([None] * n, type=pa.int64())
-    sa = [al[i] for i in idx]
-    sb = [bl[i] for i in idx]
-    la = np.array([len(s) for s in sa], dtype=np.int32)
-    lb = np.array([len(s) for s in sb], dtype=np.int32)
-    ma, mb = int(la.max(initial=0)), int(lb.max(initial=0))
-    if ma == 0 or mb == 0 or ma * mb > 16384:
-        dist = np.array([levenshtein(x, y) for x, y in zip(sa, sb)], dtype=np.float64)
-    else:
-        m = len(sa)
-        A = np.zeros((m, ma), dtype=np.uint32)
-        B = np.zeros((m, mb), dtype=np.uint32)
-        for k, s in enumerate(sa):
-            A[k, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-        for k, s in enumerate(sb):
-            B[k, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-        dist = _levenshtein_gather(A, B, la, lb)
-    out_arr = np.full(n, np.nan)
-    out_arr[idx] = dist
-    return pa.array(
-        [None if not valid[i] else int(out_arr[i]) for i in range(n)], type=pa.int64()
-    )
+    valid, cl, cr, values = _pair_codes(a, b)
+    dist = np.zeros(len(cl), dtype=np.int64)  # identical values: 0
+    rest = np.flatnonzero(cl != cr)
+    if len(rest):
+        strs, lens, il, ir = _value_strings(values, cl[rest], cr[rest])
+        la, lb = lens[il], lens[ir]
+        ma, mb = int(la.max()), int(lb.max())
+        if ma * mb > 16384:
+            dist[rest] = [
+                levenshtein(strs[x], strs[y]) for x, y in zip(il.tolist(), ir.tolist())
+            ]
+        else:
+            M = _codepoint_matrix(strs, lens)
+            dist[rest] = _levenshtein_gather(M[il, :ma], M[ir, :mb], la, lb)
+    out = np.zeros(len(valid), dtype=np.int64)
+    out[valid] = dist
+    return pa.array(out, mask=~valid)
 
 
 def _levenshtein_gather(A, B, la, lb) -> np.ndarray:
@@ -222,7 +251,7 @@ def _levenshtein_gather(A, B, la, lb) -> np.ndarray:
             result[finish] = cur[finish, lb[finish]]
         prev, cur = cur, prev
     result[done0] = lb[done0]
-    return result.astype(np.float64)
+    return result
 
 
 def _pairwise_pyfunc_array(fn, a, b, out_type=pa.float64()) -> pa.Array:
@@ -293,14 +322,6 @@ def _jaro_gather(A, B, la, lb) -> np.ndarray:
     return sj
 
 
-def _codepoint_matrix(strs, lens):
-    M = np.zeros((len(strs), int(lens.max(initial=0))), dtype=np.uint32)
-    for k, s in enumerate(strs):
-        if s:
-            M[k, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-    return M
-
-
 def _jaro_batched(a, b, prefix_weight: float | None, mask=None) -> pa.Array:
     """Shared driver for jaro / jaro-winkler batch kernels.
 
@@ -308,61 +329,47 @@ def _jaro_batched(a, b, prefix_weight: float | None, mask=None) -> pa.Array:
     pairs where mask is False are skipped (returned as null) — used to gate
     the expensive kernel on a cheap predicate (e.g. same-page) for free.
     """
-    a, b = (
-        x if isinstance(x, (pa.Array, pa.ChunkedArray)) else pa.array(list(x))
-        for x in (a, b)
-    )
-    n = len(a)
-    valid = pc.and_(pc.is_valid(a), pc.is_valid(b)).to_numpy(zero_copy_only=False)
-    if mask is not None:
-        valid &= np.asarray(mask, dtype=bool)
-    idx = np.nonzero(valid)[0]
-    out = np.full(n, np.nan)
-    if len(idx):
-        keep = pa.array(valid)
-        sa = a.filter(keep).to_pylist()
-        sb = b.filter(keep).to_pylist()
-        la = np.array([len(s) for s in sa], dtype=np.int32)
-        lb = np.array([len(s) for s in sb], dtype=np.int32)
-        if max(la.max(initial=0), lb.max(initial=0)) > 512:
-            # very long strings: per-pair scalar beats the padded matrix
-            fn = (
-                jaro_similarity
-                if prefix_weight is None
-                else lambda x, y: jaro_winkler_similarity(x, y, prefix_weight)
-            )
-            out[idx] = [fn(x, y) for x, y in zip(sa, sb)]
-        else:
-            # fast path: identical strings (common for near-dup pairs) are
-            # jaro==1 by construction; run the greedy matcher on the rest only
-            same = np.fromiter(
-                (x == y for x, y in zip(sa, sb)), dtype=bool, count=len(sa)
-            )
-            sj = np.where(same & (la > 0), 1.0, 0.0)
-            rest = np.nonzero(~same)[0]
-            if len(rest):
-                ra = [sa[i] for i in rest]
-                rb = [sb[i] for i in rest]
-                rla, rlb = la[rest], lb[rest]
-                A = _codepoint_matrix(ra, rla)
-                B = _codepoint_matrix(rb, rlb)
-                sjr = _jaro_gather(A, B, rla, rlb)
-                if prefix_weight is not None:
-                    # winkler prefix boost (identical strings are sj==1 so
-                    # the boost is a no-op there — rest rows only)
-                    w = min(4, A.shape[1], B.shape[1])
-                    if w:
-                        k = np.arange(w)
-                        eq = (
-                            (A[:, :w] == B[:, :w])
-                            & (k < rla[:, None])
-                            & (k < rlb[:, None])
-                        )
-                        prefix = np.cumprod(eq, axis=1).sum(axis=1)
-                        sjr = sjr + prefix * prefix_weight * (1.0 - sjr)
-                sj[rest] = sjr
-            out[idx] = sj
-    return pa.array(out, type=pa.float64(), mask=~valid)
+    valid, cl, cr, values = _pair_codes(a, b, mask)
+    # identical values (common for near-dup pairs) are jaro 1 by
+    # construction, except '' (an empty side scores 0)
+    same = cl == cr
+    empty = pc.equal(values, "").to_numpy(zero_copy_only=False)
+    sim = (same & ~empty[cl]).astype(np.float64)
+    rest = np.flatnonzero(~same)
+    if len(rest):
+        sim[rest] = _jaro_pairs(values, cl[rest], cr[rest], prefix_weight)
+    out = np.zeros(len(valid), dtype=np.float64)
+    out[valid] = sim
+    return pa.array(out, mask=~valid)
+
+
+def _jaro_pairs(values: pa.Array, cl, cr, prefix_weight) -> np.ndarray:
+    """Jaro(-Winkler) of the value pairs ``(cl, cr)``, cl != cr."""
+    strs, lens, il, ir = _value_strings(values, cl, cr)
+    if lens.max() > 512:
+        # very long strings: per-pair scalar beats the padded matrix
+        fn = (
+            jaro_similarity
+            if prefix_weight is None
+            else lambda x, y: jaro_winkler_similarity(x, y, prefix_weight)
+        )
+        return np.array(
+            [fn(strs[x], strs[y]) for x, y in zip(il.tolist(), ir.tolist())],
+            dtype=np.float64,
+        )
+    M = _codepoint_matrix(strs, lens)
+    la, lb = lens[il], lens[ir]
+    A, B = M[il, : la.max()], M[ir, : lb.max()]
+    sj = _jaro_gather(A, B, la, lb)
+    if prefix_weight is not None:
+        # winkler prefix boost (a no-op where sj is 0 or 1)
+        w = min(4, A.shape[1], B.shape[1])
+        if w:
+            k = np.arange(w)
+            eq = (A[:, :w] == B[:, :w]) & (k < la[:, None]) & (k < lb[:, None])
+            prefix = np.cumprod(eq, axis=1).sum(axis=1)
+            sj = sj + prefix * prefix_weight * (1.0 - sj)
+    return sj
 
 
 def jaro_similarity_array(a, b, *, mask=None) -> pa.Array:

@@ -167,3 +167,33 @@ def test_signature_column_matches_text_path(ray_session):
         ).links_ds.take_all()
     }
     assert got == want
+
+
+def test_sig_agreement_sliced_null_signatures():
+    """Agreement of two signature columns, sliced (non-zero offset) and
+    chunked, with null signatures built both ways (null slot over null child
+    values from a pylist; masked slot over real values from ``from_arrays``):
+    a null side agrees with nothing, every other row is the fraction of
+    equal positions."""
+    from mismo_ray.dedupe import sig_agreement, signature_array
+
+    rng = np.random.default_rng(3)
+    n, k = 40, 4
+    left = rng.integers(0, 3, (n, k))
+    right = np.where(rng.random((n, k)) < 0.5, left, rng.integers(0, 3, (n, k)))
+    ok_l, ok_r = rng.random(n) < 0.8, rng.random(n) < 0.8
+    expected = [
+        float(np.mean(x == y)) if a and b else 0.0
+        for x, y, a, b in zip(left, right, ok_l, ok_r)
+    ]
+    sl = pa.array(
+        [x.tolist() if a else None for x, a in zip(left, ok_l)],
+        type=pa.list_(pa.int64(), k),
+    )
+    sr = signature_array(right.astype(np.uint64), ok_r)
+    assert sr.null_count == int((~ok_r).sum())
+    for lo, hi in [(0, n), (7, 31), (n, n)]:
+        got = sig_agreement(sl.slice(lo, hi - lo), sr.slice(lo, hi - lo))
+        assert got.tolist() == expected[lo:hi]
+    chunked = pa.chunked_array([sl.slice(0, 9), sl.slice(9)])
+    assert sig_agreement(chunked, sr).tolist() == expected

@@ -9,6 +9,8 @@ import duckdb
 import pyarrow as pa
 import pytest
 import ray.data
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mismo_ray import text
 
@@ -210,6 +212,72 @@ def test_levenshtein_ratio_array():
     assert got[2] == 0.0
     assert math.isnan(got[3])
     assert got[4] is None
+
+
+# value pool for the kernel property test: '' and astral codepoints (the
+# uint32 path), one value long enough for the >512-char per-pair fallback
+# (and, against a >= 32-char value, the Levenshtein ma*mb > 16384 one)
+_POOL_CHARS = "ab\u00e9 \U0001f600"
+_LONG = ("ab\U0001f600" * 180)[:520]
+
+
+def _encode_side(vals, form, cut):
+    """One side of a pair batch in one of the input forms callers use."""
+    if form == "list":
+        return vals
+    if form == "array":
+        return pa.array(vals, type=pa.string())
+    if form == "sliced":
+        return pa.array(["pad"] + vals + ["pad"], type=pa.string()).slice(1, len(vals))
+    chunks = [pa.array(vals[:cut], type=pa.string()), pa.array(vals[cut:], type=pa.string())]
+    if form == "chunked_dict":
+        # dictionary chunks: each chunk has its own dictionary
+        chunks = [c.dictionary_encode() for c in chunks]
+    return pa.chunked_array(chunks)
+
+
+@st.composite
+def _pair_batches(draw):
+    pool = draw(
+        st.lists(st.text(_POOL_CHARS, max_size=40), min_size=1, max_size=6)
+    )
+    if draw(st.booleans()):
+        pool.append(_LONG)
+    value = st.one_of(st.none(), st.sampled_from(pool))  # heavy repeats
+    left = draw(st.lists(value, max_size=30))
+    n = len(left)
+    right = draw(st.lists(value, min_size=n, max_size=n))
+    mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n, max_size=n)))
+    forms = st.sampled_from(["list", "array", "sliced", "chunked", "chunked_dict"])
+    cut = draw(st.integers(0, n))
+    return left, right, mask, draw(forms), draw(forms), cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_pair_batches())
+@example(batch=([], [], None, "array", "chunked", 0))  # zero rows
+@example(batch=(["a", "b"], ["a", "c"], [False, False], "list", "sliced", 1))  # all masked
+@example(batch=([_LONG, "ab", _LONG], ["x" * 40, "ab", _LONG], None, "list", "list", 0))
+def test_string_pair_kernels_match_scalar(batch):
+    """The factorized pair kernels give exactly the scalar result per pair
+    (bit-identical floats), null where a side is null or the mask is off."""
+    left, right, mask, form_l, form_r, cut = batch
+    a, b = _encode_side(left, form_l, cut), _encode_side(right, form_r, cut)
+
+    def expect(fn, mask):
+        on = [True] * len(left) if mask is None else mask
+        return [
+            fn(x, y) if ok and x is not None and y is not None else None
+            for x, y, ok in zip(left, right, on)
+        ]
+
+    jaro = text.jaro_similarity_array(a, b, mask=mask)
+    assert jaro.to_pylist() == expect(text.jaro_similarity, mask)
+    jw = text.jaro_winkler_similarity_array(a, b, mask=mask)
+    assert jw.to_pylist() == expect(text.jaro_winkler_similarity, mask)
+    lev = text.levenshtein_array(a, b)  # takes no mask
+    assert lev.type == pa.int64()
+    assert lev.to_pylist() == expect(text.levenshtein, None)
 
 
 def test_textstats_units():

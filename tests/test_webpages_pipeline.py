@@ -305,3 +305,32 @@ def test_skew_stress_salted_hot_domain(ray_session):
     assert r["n_pairs_scored"] == expected_pairs
     assert r["salted_keys"] == 1
     assert r["n_matches"] <= r["n_pairs_scored"]
+
+
+def test_add_sketches_null_and_empty_text(ray_session):
+    """``fp`` is null exactly for null or empty text; ``sig`` is null exactly
+    where the text has no shingle; every other row carries the per-row
+    fingerprint and signature."""
+    import numpy as np
+    import pyarrow as pa
+
+    from mismo_ray._util import hash64
+    from mismo_ray.dedupe import minhash_signatures_charhash_batch
+    from mismo_ray.pipelines._webpages import add_sketches
+
+    texts = [None, "", "short", "a much longer page body with enough text", None, ""]
+    ds = ray.data.from_arrow(
+        pa.table({"record_id": list(range(len(texts))), "extracted_text": texts})
+    )
+    got = pa.concat_tables(
+        list(add_sketches(ds).iter_batches(batch_format="pyarrow", batch_size=None))
+    ).sort_by("record_id")
+    sig, valid = minhash_signatures_charhash_batch(texts, num_hashes=16, shingle_w=24)
+    fp = hash64(texts).astype(np.int64)
+    assert got["fp"].to_pylist() == [
+        None if not t else int(f) for t, f in zip(texts, fp)
+    ]
+    assert got["sig"].to_pylist() == [
+        s.astype(np.int64).tolist() if ok else None for s, ok in zip(sig, valid)
+    ]
+    assert got.schema.field("sig").type == pa.list_(pa.int64(), 16)
