@@ -8,9 +8,12 @@ Two families, chosen by side size (SURVEY §4 / ray_guide "Joins and lookups"):
   ``map_groups``. One keyed shuffle, C++-speed per-bucket probe.
   (Ray 2.49's native ``Dataset.join`` emits schema-less empty partitions that
   crash any downstream join/shuffle, so we own the join primitive.)
-- ``broadcast_*``: small side collected once, shipped via ``ray.put``, applied
-  inside ``map_batches`` (no shuffle). Used for key sets (semi/anti) and
-  dimension lookups (term->idf, id->component at test scale).
+- lookups: one kernel, ``lookup_positions`` (each key's row in the mapping,
+  -1 for a miss) + ``take_rows``, joins a mapping to a Dataset. A small
+  mapping is collected once, shipped via ``ray.put`` and applied inside
+  ``map_batches`` (no shuffle: ``broadcast_isin``, pair assembly, link
+  counts, TF, in-process CC labels); a corpus-sized one stays a Dataset and
+  is applied per bucket of one keyed shuffle (``bucketed_lookup_join``).
 """
 
 from __future__ import annotations
@@ -356,6 +359,7 @@ def distinct(ds: ray.data.Dataset, cols: str | Sequence[str]) -> ray.data.Datase
     )
 
 
+# ------------------------------------------------------------ lookup kernel
 def _freeze_key(v):
     """Recursively hashable form of a nested key value (list cells from
     ``to_pylist`` become tuples, struct dicts become sorted item tuples)."""
@@ -366,6 +370,147 @@ def _freeze_key(v):
     return v
 
 
+def lookup_positions(keys, mkeys) -> np.ndarray:
+    """The row of each of ``keys`` in the mapping keys ``mkeys``, -1 for a
+    miss: the one kernel behind every attach of a small table to a Dataset
+    (callers ``take_rows`` from the mapping) and every per-bucket lookup.
+
+    A null key matches a null mapping key (``pc.index_in``'s default, as a
+    dict holding None); a duplicated mapping key answers with its first row.
+    Mapping keys are cast to the keys' type. Scalar keys run
+    ``pc.index_in``; nested (struct/list) keys, which it does not support,
+    probe a dict of frozen keys."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if isinstance(mkeys, pa.ChunkedArray):
+        mkeys = mkeys.combine_chunks()
+    if not len(keys) or not len(mkeys):
+        return np.full(len(keys), -1, dtype=np.int64)
+    if pa.types.is_null(keys.type):
+        keys = keys.cast(mkeys.type)
+    mkeys = mkeys.cast(keys.type)
+    if pa.types.is_nested(keys.type):
+        local: dict = {}
+        for i, k in enumerate(mkeys.to_pylist()):
+            local.setdefault(_freeze_key(k), i)
+        return np.fromiter(
+            (local.get(_freeze_key(k), -1) for k in keys.to_pylist()),
+            dtype=np.int64,
+            count=len(keys),
+        )
+    import pyarrow.compute as pc
+
+    return np.asarray(pc.index_in(keys, value_set=mkeys).fill_null(-1), dtype=np.int64)
+
+
+def take_rows(values, pos: np.ndarray):
+    """Rows ``pos`` of an Array or Table; a position of -1 gives a null."""
+    miss = pos < 0
+    return values.take(pa.array(pos, mask=miss) if miss.any() else pa.array(pos))
+
+
+def _lookup(
+    keys: pa.Array, mkeys: pa.Array, mvals: pa.Array, on_missing, what: str
+) -> pa.Array:
+    """The value of each of ``keys`` in the mapping ``mkeys -> mvals``.
+    Missing keys raise ``KeyError`` unless ``on_missing(missing_key_array)
+    -> fill value Array`` is given."""
+    pos = lookup_positions(keys, mkeys)
+    miss = pos < 0
+    if miss.any():
+        if on_missing is None:
+            raise KeyError(
+                f"{int(miss.sum())} keys of '{what}' missing from mapping"
+            )
+        fill = on_missing(keys.filter(pa.array(miss)))
+        if not isinstance(fill, pa.Array):
+            fill = pa.array(list(fill), type=mvals.type)
+        # the fills go after the mapping values: one take serves both
+        pos[miss] = len(mvals) + np.arange(int(miss.sum()))
+        mvals = pa.concat_arrays([mvals, fill.cast(mvals.type)])
+    return take_rows(mvals, pos)
+
+
+def bucketed_lookup_join(
+    ds: ray.data.Dataset,
+    column: str,
+    mapping_ds: ray.data.Dataset,
+    *,
+    key_name: str,
+    val_name: str,
+    out_type: pa.DataType,
+    result_name: str | None = None,
+    on_missing=None,
+    ds_schema: pa.Schema | None = None,
+) -> ray.data.Dataset:
+    """Distributed key -> value lookup where the mapping is itself a Dataset
+    (corpus-sized — NEVER collected to the driver).
+
+    One keyed shuffle: both sides get ``__bkt__ = hash(key) % B``, are tagged
+    and unioned, and each bucket resolves its rows against its slice of the
+    mapping with ``lookup_positions``. ``result_name=None`` replaces
+    ``column`` in place, else appends. Missing keys raise unless
+    ``on_missing`` is given (see ``_lookup``).
+    """
+    from mismo_ray._util import base_schema_or
+
+    B = default_num_partitions()
+    schema = ds_schema or base_schema_or(ds)  # clear error on empty-unknown
+    key_type = schema.field(column).type
+    data_cols = list(schema.names)
+
+    def proj_map(t: pa.Table) -> pa.Table:
+        cols = {
+            "__key__": t[key_name].combine_chunks().cast(key_type),
+            "__val__": t[val_name].combine_chunks().cast(out_type),
+        }
+        for c in data_cols:
+            cols[f"__d_{c}"] = pa.nulls(len(t), schema.field(c).type)
+        cols["__side__"] = pa.array(np.zeros(len(t), dtype=np.int8))
+        out = pa.table(cols)
+        bkt = (hash64(out["__key__"]) % np.uint64(B)).astype(np.int64)
+        return out.append_column("__bkt__", pa.array(bkt))
+
+    def proj_data(t: pa.Table) -> pa.Table:
+        cols = {
+            "__key__": t[column].combine_chunks(),
+            "__val__": pa.nulls(len(t), out_type),
+        }
+        for c in data_cols:
+            cols[f"__d_{c}"] = t[c]
+        cols["__side__"] = pa.array(np.ones(len(t), dtype=np.int8))
+        out = pa.table(cols)
+        bkt = (hash64(out["__key__"]) % np.uint64(B)).astype(np.int64)
+        return out.append_column("__bkt__", pa.array(bkt))
+
+    tagged = mapping_ds.map_batches(proj_map, batch_format="pyarrow").union(
+        ds.map_batches(proj_data, batch_format="pyarrow")
+    )
+
+    def resolve(g: pa.Table) -> pa.Table:
+        side = np.asarray(g["__side__"].to_numpy(zero_copy_only=False))
+        mrows = g.filter(pa.array(side == 0))
+        drows = g.filter(pa.array(side == 1))
+        vals = _lookup(
+            drows["__key__"].combine_chunks(),
+            mrows["__key__"].combine_chunks(),
+            mrows["__val__"].combine_chunks(),
+            on_missing,
+            column,
+        )
+        cols = {}
+        for c in data_cols:
+            if c == column and result_name is None:
+                cols[c] = vals
+            else:
+                cols[c] = drows[f"__d_{c}"]
+        if result_name is not None:
+            cols[result_name] = vals
+        return pa.table(cols)
+
+    return tagged.groupby("__bkt__").map_groups(resolve, batch_format="pyarrow")
+
+
 def broadcast_isin(
     ds: ray.data.Dataset,
     column: str,
@@ -373,101 +518,22 @@ def broadcast_isin(
     *,
     invert: bool = False,
 ) -> ray.data.Dataset:
-    """Semi (or anti, invert=True) join against a broadcast key set.
-
-    Scalar key types run through the Arrow ``pc.is_in`` kernel (one broadcast
-    value-set array, zero python per row); non-scalar keys (tuples/structs)
-    fall back to a python set probe.
-    """
-    import pyarrow.compute as pc
-
+    """Semi (or anti, invert=True) join against a broadcast key set
+    (``values``: an Arrow array or an iterable of python values), answered
+    by ``lookup_positions`` — nested keys included."""
     # SQL semi/anti semantics: NULL never equals anything, so a None in the
     # broadcast value set must not match null inputs (same rule as
     # keyed_filter's drop_null on the bucketed path).
-    vals = [v for v in values if v is not None]
-    try:
-        value_set = pa.array(vals)
-        if pa.types.is_nested(value_set.type):
-            raise pa.ArrowInvalid("nested keys -> python path")
-    except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError):
-        value_set = None
-    ref = ray.put(
-        value_set
-        if value_set is not None
-        else frozenset(_freeze_key(v) for v in vals)
-    )
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        value_set = values.drop_null()
+    else:
+        value_set = pa.array([v for v in values if v is not None])
+    ref = ray.put(value_set)
 
     def fn(batch: pa.Table) -> pa.Table:
-        keys = ray.get(ref)
-        col = batch[column]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if isinstance(keys, pa.Array):
-            mask = pc.is_in(
-                col, value_set=keys.cast(col.type)
-            ).to_numpy(zero_copy_only=False)
-            mask = np.asarray(mask, dtype=bool)
-        else:
-            # list/struct cells come back as python lists/dicts — freeze
-            # both sides the same way or the set probe raises unhashable
-            pyl = col.to_pylist()
-            mask = np.fromiter(
-                (v is not None and _freeze_key(v) in keys for v in pyl),
-                dtype=bool,
-                count=len(pyl),
-            )
+        mask = lookup_positions(batch[column], ray.get(ref)) >= 0
         if invert:
             mask = ~mask
         return batch.filter(pa.array(mask))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def broadcast_lookup(
-    ds: ray.data.Dataset,
-    column: str,
-    mapping: dict,
-    *,
-    result_name: str,
-    default=None,
-    result_type: pa.DataType | None = None,
-) -> ray.data.Dataset:
-    """Add a column by looking ``column`` up in a broadcast dict (dimension join
-    without a shuffle).
-
-    Scalar keys run through ``pc.index_in`` + ``take`` (vectorized); non-scalar
-    keys fall back to a python dict probe. A mapped value of None is
-    indistinguishable from a miss on the Arrow path, so mappings containing
-    None values with a non-None ``default`` use the python path.
-    """
-    import pyarrow.compute as pc
-
-    arrow_pair = None
-    if not (default is not None and any(v is None for v in mapping.values())):
-        try:
-            keys_arr = pa.array(list(mapping.keys()))
-            if pa.types.is_nested(keys_arr.type):
-                raise pa.ArrowInvalid("nested keys -> python path")
-            vals_arr = pa.array(list(mapping.values()), type=result_type)
-            arrow_pair = (keys_arr, vals_arr)
-        except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError):
-            arrow_pair = None
-    ref = ray.put(arrow_pair if arrow_pair is not None else mapping)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        col = batch[column]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if isinstance(m, tuple):
-            keys_arr, vals_arr = m
-            idx = pc.index_in(col, value_set=keys_arr.cast(col.type))
-            arr = pc.take(vals_arr, idx)  # miss -> null index -> null value
-            if default is not None:
-                arr = pc.fill_null(arr, default)
-        else:
-            vals = [m.get(v, default) for v in col.to_pylist()]
-            arr = pa.array(vals, type=result_type) if result_type else pa.array(vals)
-        return batch.append_column(result_name, arr)
 
     return ds.map_batches(fn, batch_format="pyarrow")

@@ -203,14 +203,23 @@ def collect_table(ds) -> pa.Table:
     """Driver-side collect of a SMALL (already size-gated) dataset as ONE
     Arrow table. ``take_all()`` converts every row to a python dict —
     pathologically slow on pandas-block datasets (~0.5 ms/row, i.e. tens
-    of seconds for a few 10k rows); zero-copy pyarrow batch iteration is
-    orders of magnitude faster and keeps the columnar layout. Callers must
-    size-gate first (this still moves every block to the driver). Returns
-    a zero-column empty table when the dataset has no blocks."""
-    batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
+    of seconds for a few 10k rows); fetching the Arrow blocks keeps the
+    columnar layout, and ``ray.get`` of ``to_arrow_refs()`` skips the batch
+    iterator (3 vs 17 ms for 16 materialized blocks). Callers must size-gate
+    first (this still moves every block to the driver).
+
+    Zero-row blocks are skipped: Ray's shuffles emit them without columns.
+    With no rows at all the result is the first zero-row block that has
+    columns, else a zero-column empty table."""
+    import ray
+
+    blocks = ray.get(ds.to_arrow_refs())
+    tables = [b for b in blocks if b.num_rows] or [
+        b for b in blocks if b.num_columns
+    ][:1]
+    if not tables:
         return pa.table({})
-    return pa.concat_tables(batches, promote_options="permissive")
+    return pa.concat_tables(tables, promote_options="permissive")
 
 
 def int64_ids(col, op_name: str) -> np.ndarray:

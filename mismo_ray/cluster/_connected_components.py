@@ -22,8 +22,10 @@ endpoints and the record ids). They differ only in who computes the labels:
   vectorized sort + ``minimum.reduceat`` (``_runs``).
 
 Labels attach to records by one lookup in code space
-(``_attach_labels_coded``): per bucket of one shuffle for star labels,
-map-side against one broadcast Arrow table for in-process labels.
+(``_attach_labels_coded``, with the lookup kernel of ``mismo_ray._joins``):
+per bucket of one shuffle (``bucketed_lookup_join``, which also carries the
+Factorizer's encode/decode) for star labels, map-side against one broadcast
+Arrow table for in-process labels.
 
 Component label = the minimum int64 code over the component's members
 (identical to the reference's fixpoint). Singletons use their own code as
@@ -43,8 +45,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from mismo_ray._joins import default_num_partitions, distinct
-from mismo_ray._util import base_schema_or, hash64, splitmix64
+from mismo_ray._joins import (
+    _freeze_key,
+    _lookup,
+    bucketed_lookup_join,
+    default_num_partitions,
+    distinct,
+)
+from mismo_ray._util import base_schema_or, collect_table, hash64, splitmix64
 
 logger = logging.getLogger(__name__)
 
@@ -56,118 +64,6 @@ CODE_BUCKETS = 1024
 
 
 # --------------------------------------------------------------- factorizer
-def _lookup(
-    keys: pa.Array, mkeys: pa.Array, mvals: pa.Array, on_missing, what: str
-) -> pa.Array:
-    """The value of each of ``keys`` in the mapping ``mkeys -> mvals``:
-    ``pc.index_in`` + ``take`` for scalar keys, a python dict keyed on
-    ``_hashable`` for nested (struct/list) keys. Missing keys raise
-    ``KeyError`` unless ``on_missing(missing_key_array) -> fill value
-    Array`` is given."""
-    # pos = each key's row in the mapping, -1 when missing
-    if pa.types.is_nested(keys.type):
-        local = {_hashable(k): i for i, k in enumerate(mkeys.to_pylist())}
-        pos = np.fromiter(
-            (local.get(_hashable(k), -1) for k in keys.to_pylist()),
-            dtype=np.int64,
-            count=len(keys),
-        )
-    else:
-        idx = pc.index_in(keys, value_set=mkeys).fill_null(-1)
-        pos = np.array(idx, dtype=np.int64)
-    miss = pos < 0
-    if miss.any():
-        if on_missing is None:
-            raise KeyError(
-                f"{int(miss.sum())} keys of '{what}' missing from mapping"
-            )
-        fill = on_missing(keys.filter(pa.array(miss)))
-        if not isinstance(fill, pa.Array):
-            fill = pa.array(list(fill), type=mvals.type)
-        # the fills go after the mapping values: one take serves both
-        pos[miss] = len(mvals) + np.arange(int(miss.sum()))
-        mvals = pa.concat_arrays([mvals, fill.cast(mvals.type)])
-    return pc.take(mvals, pa.array(pos))
-
-
-def bucketed_lookup_join(
-    ds: ray.data.Dataset,
-    column: str,
-    mapping_ds: ray.data.Dataset,
-    *,
-    key_name: str,
-    val_name: str,
-    out_type: pa.DataType,
-    result_name: str | None = None,
-    on_missing=None,
-    ds_schema: pa.Schema | None = None,
-) -> ray.data.Dataset:
-    """Distributed key -> value lookup where the mapping is itself a Dataset
-    (corpus-sized — NEVER collected to the driver).
-
-    One keyed shuffle: both sides get ``__bkt__ = hash(key) % B``, are tagged
-    and unioned, and each bucket resolves its rows against its slice of the
-    mapping with ``_lookup``. ``result_name=None`` replaces ``column`` in
-    place, else appends. Missing keys raise unless ``on_missing`` is given
-    (see ``_lookup``).
-    """
-    B = default_num_partitions()
-    schema = ds_schema or base_schema_or(ds)  # clear error on empty-unknown
-    key_type = schema.field(column).type
-    data_cols = list(schema.names)
-
-    def proj_map(t: pa.Table) -> pa.Table:
-        cols = {
-            "__key__": t[key_name].combine_chunks().cast(key_type),
-            "__val__": t[val_name].combine_chunks().cast(out_type),
-        }
-        for c in data_cols:
-            cols[f"__d_{c}"] = pa.nulls(len(t), schema.field(c).type)
-        cols["__side__"] = pa.array(np.zeros(len(t), dtype=np.int8))
-        out = pa.table(cols)
-        bkt = (hash64(out["__key__"]) % np.uint64(B)).astype(np.int64)
-        return out.append_column("__bkt__", pa.array(bkt))
-
-    def proj_data(t: pa.Table) -> pa.Table:
-        cols = {
-            "__key__": t[column].combine_chunks(),
-            "__val__": pa.nulls(len(t), out_type),
-        }
-        for c in data_cols:
-            cols[f"__d_{c}"] = t[c]
-        cols["__side__"] = pa.array(np.ones(len(t), dtype=np.int8))
-        out = pa.table(cols)
-        bkt = (hash64(out["__key__"]) % np.uint64(B)).astype(np.int64)
-        return out.append_column("__bkt__", pa.array(bkt))
-
-    tagged = mapping_ds.map_batches(proj_map, batch_format="pyarrow").union(
-        ds.map_batches(proj_data, batch_format="pyarrow")
-    )
-
-    def resolve(g: pa.Table) -> pa.Table:
-        side = np.asarray(g["__side__"].to_numpy(zero_copy_only=False))
-        mrows = g.filter(pa.array(side == 0))
-        drows = g.filter(pa.array(side == 1))
-        vals = _lookup(
-            drows["__key__"].combine_chunks(),
-            mrows["__key__"].combine_chunks(),
-            mrows["__val__"].combine_chunks(),
-            on_missing,
-            column,
-        )
-        cols = {}
-        for c in data_cols:
-            if c == column and result_name is None:
-                cols[c] = vals
-            else:
-                cols[c] = drows[f"__d_{c}"]
-        if result_name is not None:
-            cols[result_name] = vals
-        return pa.table(cols)
-
-    return tagged.groupby("__bkt__").map_groups(resolve, batch_format="pyarrow")
-
-
 class Factorizer:
     """record_id <-> dense-ish unique int64 codes.
 
@@ -202,7 +98,7 @@ class Factorizer:
             if nested:
                 seen: dict = {}
                 for v in ids.to_pylist():
-                    seen.setdefault(_hashable(v), v)
+                    seen.setdefault(_freeze_key(v), v)
                 ids = pa.array(list(seen.values()), type=self.id_type)
             else:
                 ids = pc.unique(ids)
@@ -217,7 +113,7 @@ class Factorizer:
             if nested:
                 seen: dict = {}
                 for v in arr.to_pylist():
-                    seen.setdefault(_hashable(v), v)
+                    seen.setdefault(_freeze_key(v), v)
                 vals = list(seen.values())
                 order = np.argsort(hash64(vals), kind="stable")
                 uniq = pa.array([vals[i] for i in order], type=self.id_type)
@@ -276,14 +172,6 @@ class Factorizer:
         )
 
 
-def _hashable(v):
-    if isinstance(v, dict):
-        return tuple(sorted(v.items()))
-    if isinstance(v, list):
-        return tuple(v)
-    return v
-
-
 # ------------------------------------------------------------ in-process path
 def _label_in_process(edges: ray.data.Dataset) -> pa.Table:
     """Collect the int64 edge set once and label it here -> (record_id,
@@ -294,17 +182,12 @@ def _label_in_process(edges: ray.data.Dataset) -> pa.Table:
     (``np.minimum.at``) and pointer-jumps ``p = p[p]`` to a fixpoint; passes
     repeat on the edges whose endpoints still have two roots. Pointers only
     move to smaller members, so each component ends rooted at its minimum.
-    Zero-row blocks are skipped: Ray's shuffles emit them without columns.
     """
-    tables = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-    n = sum(t.num_rows for t in tables)
+    t = collect_table(edges)
+    n = t.num_rows
     ends = np.concatenate(
         [np.empty(0, np.int64)]
-        + [
-            np.asarray(t[c], dtype=np.int64)
-            for c in ("record_id_l", "record_id_r")
-            for t in tables
-        ]
+        + [np.asarray(t[c], dtype=np.int64) for c in ("record_id_l", "record_id_r") if n]
     )
     ids, inv = np.unique(ends, return_inverse=True)
     a, b = inv[:n], inv[n:]

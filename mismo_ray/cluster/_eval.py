@@ -18,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -137,46 +138,40 @@ def pairwise_metrics_from_links(
 ) -> dict:
     """Precision/recall/F1 of predicted links vs planted entity labels.
 
-    Streams: the record->label map is label-table-sized and broadcast; link
-    correctness is counted per batch; the true-pair denominator comes from the
-    label histogram. Records with null labels are ignored on both sides
-    (reference _train.py: null ground truth rows are skipped).
+    Streams: the (record_id, label) table is label-table-sized, collected
+    and broadcast; both sides' labels are looked up per link batch with the
+    lookup kernel and counted from Arrow masks; the true-pair denominator
+    comes from the label sizes (``pc.value_counts``). Records with null
+    labels are ignored on both sides (reference _train.py: null ground truth
+    rows are skipped).
     """
-    label_counts: Counter = Counter()
-    label_map: dict = {}
-    for b in records.select_columns(["record_id", label_column]).iter_batches(
-        batch_format="pyarrow"
-    ):
-        for rid, lab in zip(
-            b["record_id"].to_pylist(), b[label_column].to_pylist()
-        ):
-            if lab is None:
-                continue
-            label_map[rid] = lab
-            label_counts[lab] += 1
-    ref = ray.put(label_map)
+    from mismo_ray._joins import lookup_positions, take_rows
+    from mismo_ray._util import collect_table
 
-    def score(t: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        ll = t["record_id_l"].to_pylist()
-        rr = t["record_id_r"].to_pylist()
-        tp = fp = 0
-        for a, c in zip(ll, rr):
-            la, lc = m.get(a), m.get(c)
-            if la is None or lc is None:
-                continue
-            if la == lc:
-                tp += 1
-            else:
-                fp += 1
-        return pa.table({"tp": [tp], "fp": [fp]})
-
-    agg = links.map_batches(score, batch_format="pyarrow")
+    labels = collect_table(records.select_columns(["record_id", label_column]))
     tp = fp = 0
-    for b in agg.iter_batches(batch_format="pyarrow"):
-        tp += sum(b["tp"].to_pylist())
-        fp += sum(b["fp"].to_pylist())
-    true_pairs = _comb2(label_counts.values())
+    sizes = []
+    if labels.num_rows:
+        labels = labels.filter(pc.is_valid(labels[label_column])).combine_chunks()
+        sizes = pc.value_counts(labels[label_column]).field("counts").to_numpy()
+        ref = ray.put(labels)
+
+        def score(t: pa.Table) -> pa.Table:
+            m = ray.get(ref)
+            la, lc = (
+                take_rows(m[label_column], lookup_positions(t[k], m["record_id"]))
+                for k in ("record_id_l", "record_id_r")
+            )
+            # null when either side has no label: neither tp nor fp
+            same = pc.equal(la, lc)
+            n_tp = pc.sum(same).as_py() or 0
+            return pa.table({"tp": [n_tp], "fp": [len(same) - same.null_count - n_tp]})
+
+        agg = links.map_batches(score, batch_format="pyarrow")
+        for b in agg.iter_batches(batch_format="pyarrow"):
+            tp += sum(b["tp"].to_pylist())
+            fp += sum(b["fp"].to_pylist())
+    true_pairs = _comb2(sizes)
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / true_pairs if true_pairs else 1.0
     f1 = (

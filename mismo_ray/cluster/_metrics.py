@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count
@@ -45,48 +44,33 @@ def subgraph(
     distributed over the full link table). Returns
     {"node_ids": set, "links": Dataset of links within the neighborhood}.
     """
+    import pyarrow.compute as pc
     import ray as _ray
 
-    from mismo_ray._joins import broadcast_isin
+    def on_nodes(ns: set, both: bool):
+        ref = _ray.put(pa.array(list(ns)))
+
+        def fn(t: pa.Table) -> pa.Table:
+            ids = _ray.get(ref)
+            l, r = (
+                pc.is_in(t[c], value_set=ids.cast(t[c].type))
+                for c in ("record_id_l", "record_id_r")
+            )
+            return t.filter(pc.and_(l, r) if both else pc.or_(l, r))
+
+        return links.map_batches(fn, batch_format="pyarrow")
 
     nodes = set(seed_ids)
     for _ in range(hops):
-        ref = _ray.put(frozenset(nodes))
-
-        def touching(t: pa.Table) -> pa.Table:
-            ns = _ray.get(ref)
-            l = t["record_id_l"].to_pylist()
-            r = t["record_id_r"].to_pylist()
-            mask = np.fromiter(
-                ((a in ns) or (b in ns) for a, b in zip(l, r)),
-                dtype=bool,
-                count=len(l),
-            )
-            return t.filter(pa.array(mask))
-
-        frontier = links.map_batches(touching, batch_format="pyarrow")
         new_nodes = set(nodes)
-        for b in frontier.iter_batches(batch_format="pyarrow"):
+        for b in on_nodes(nodes, both=False).iter_batches(batch_format="pyarrow"):
             new_nodes.update(b["record_id_l"].to_pylist())
             new_nodes.update(b["record_id_r"].to_pylist())
         if new_nodes == nodes:
             break
         nodes = new_nodes
 
-    ref = _ray.put(frozenset(nodes))
-
-    def within(t: pa.Table) -> pa.Table:
-        ns = _ray.get(ref)
-        l = t["record_id_l"].to_pylist()
-        r = t["record_id_r"].to_pylist()
-        mask = np.fromiter(
-            ((a in ns) and (b in ns) for a, b in zip(l, r)),
-            dtype=bool,
-            count=len(l),
-        )
-        return t.filter(pa.array(mask))
-
     return {
         "node_ids": nodes,
-        "links": links.map_batches(within, batch_format="pyarrow"),
+        "links": on_nodes(nodes, both=True),
     }

@@ -17,7 +17,8 @@ tasks then enumerate fixed ranges of pair indices (``i < j`` for dedupe,
 ``i x j`` for link), ``take`` their pair slice from the shared sample and
 run the comparers on it. No pair Dataset is built. The m-sample of true
 pairs is a Linkage of arbitrary pairs: its records are collected with a
-map-only filter and attached per link batch (``_pairs_broadcast``). The
+map-only filter and attached per link batch by the same lookup as
+``LinksTable.with_both``'s small-side route (``_pairs_broadcast``). The
 label matrices are collected to the driver, where the per-level histograms
 are numpy bincounts.
 """
@@ -32,6 +33,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from mismo_ray._util import collect_table
 from mismo_ray.compare import LevelComparer, compare
 from mismo_ray.fs._weights import ComparerWeights, LevelWeights, Weights
 from mismo_ray.linker._key_linker import KeyLinker
@@ -86,71 +88,42 @@ def make_weights(
 
 
 def _pairs_broadcast(linkage: Linkage, columns: Sequence[str]) -> "ray.data.Dataset":
-    """Assemble (ids + suffixed columns) pair rows for a SAMPLE linkage
+    """Assemble (links + suffixed columns) pair rows for a SAMPLE linkage
     without shuffling the corpus: the sample is bounded by max_pairs by
     construction, so the referenced records fit a broadcast — collect them
-    via a map-only filter pass, then ``pc.index_in`` + ``take`` per link
-    batch (no joins, no corpus reshuffle)."""
+    via a map-only filter pass, then attach them per link batch with
+    ``attach_collected`` (no joins, no corpus reshuffle)."""
     from mismo_ray._joins import broadcast_isin
+    from mismo_ray.types._linkage import attach_collected, collect_side
 
     links = linkage.links_ds
-    ids_l: set = set()
-    ids_r: set = set()
-    for b in links.iter_batches(batch_format="pyarrow"):
-        ids_l.update(b["record_id_l"].to_pylist())
-        ids_r.update(b["record_id_r"].to_pylist())
-    same = linkage.right is linkage.left
+    ends = collect_table(links.select_columns(["record_id_l", "record_id_r"]))
 
-    def collect(src, idset) -> pa.Table:
-        tables = [
-            b
-            for b in broadcast_isin(
-                src.select_columns(["record_id", *columns]), "record_id", idset
-            ).iter_batches(batch_format="pyarrow")
-        ]
-        return (
-            pa.concat_tables(tables)
-            if tables
-            else pa.schema(
-                [pa.field("record_id", pa.int64())]
-                + [pa.field(c, pa.string()) for c in columns]
-            ).empty_table()
-        )
+    def ids(*names: str) -> pa.Array:
+        if not ends.num_rows:
+            return pa.array([])
+        return pc.unique(pa.chunked_array([c for n in names for c in ends[n].chunks]))
 
-    slim_l = collect(linkage.left, ids_l | ids_r if same else ids_l)
-    slim_r = slim_l if same else collect(linkage.right, ids_r)
-    ref = ray.put((slim_l, slim_r))
+    def collect(src, idset: pa.Array) -> pa.Table:
+        src = src.select_columns(["record_id", *columns])
+        return collect_side(broadcast_isin(src, "record_id", idset), columns)
 
-    def assemble(t: pa.Table) -> pa.Table:
-        sl, sr = ray.get(ref)
-        il = pc.index_in(
-            t["record_id_l"].combine_chunks(), value_set=sl["record_id"].combine_chunks()
-        )
-        ir = pc.index_in(
-            t["record_id_r"].combine_chunks(), value_set=sr["record_id"].combine_chunks()
-        )
-        cols = {
-            "record_id_l": t["record_id_l"],
-            "record_id_r": t["record_id_r"],
-        }
-        for c in columns:
-            cols[f"{c}_l"] = pc.take(sl[c].combine_chunks(), il)
-            cols[f"{c}_r"] = pc.take(sr[c].combine_chunks(), ir)
-        return pa.table(cols)
-
-    return links.map_batches(assemble, batch_format="pyarrow")
+    if linkage.right is linkage.left:
+        slim_l = slim_r = collect(linkage.left, ids("record_id_l", "record_id_r"))
+    else:
+        slim_l = collect(linkage.left, ids("record_id_l"))
+        slim_r = collect(linkage.right, ids("record_id_r"))
+    return attach_collected(links, slim_l, slim_r)
 
 
 def _collect_sorted(ds: ray.data.Dataset, columns) -> pa.Table | None:
     """``ds`` (record_id + ``columns``, or every column) as one table sorted
-    by record_id; None when it has no rows. Zero-row blocks are skipped:
-    Ray's shuffles emit them without columns."""
+    by record_id; None when it has no rows."""
     if columns is not None:
         ds = ds.select_columns(["record_id", *columns])
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
+    t = collect_table(ds)
+    if not t.num_rows:
         return None
-    t = pa.concat_tables(tables, promote_options="default")
     return t.take(pc.sort_indices(t, [("record_id", "ascending")]))
 
 

@@ -92,9 +92,8 @@ def _block_keys_distributed(
     ``block_keys`` lists per coarse hash bucket (vectorized lexsort, not
     per-record python), and attached back to ``feat`` with the same
     bucketed lookup join the cluster code uses for list payloads."""
-    from mismo_ray._joins import default_num_partitions
+    from mismo_ray._joins import bucketed_lookup_join, default_num_partitions
     from mismo_ray._util import hash64
-    from mismo_ray.cluster._connected_components import bucketed_lookup_join
 
     B = default_num_partitions()
 

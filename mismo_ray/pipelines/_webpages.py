@@ -349,9 +349,47 @@ def _wordshingle_hashes(s: str, w: int = 3) -> np.ndarray:
     return acc
 
 
-def webpage_comparers() -> list[LevelComparer]:
+def _per_table(fn):
+    """``fn`` memoized on the identity of the last table it saw: the levels
+    of one LevelComparer see the SAME table object per batch, so a value two
+    levels share is computed once per batch. Identity through a live weakref
+    is sound — a freed table's ref resolves to None, never to a new table."""
     import weakref
 
+    memo = {"ref": None, "val": None}
+
+    def wrapped(t: pa.Table):
+        r = memo["ref"]
+        if r is not None and r() is t:
+            return memo["val"]
+        val = fn(t)
+        memo["ref"], memo["val"] = weakref.ref(t), val
+        return val
+
+    return wrapped
+
+
+def _same_page(t: pa.Table) -> np.ndarray:
+    return pc.and_(
+        pc.equal(t["domain_l"], t["domain_r"]),
+        pc.equal(t["path_stem_l"], t["path_stem_r"]),
+    ).to_numpy(zero_copy_only=False)
+
+
+def _path_close(t: pa.Table) -> np.ndarray:
+    # the level is (same_page & jw): gate the JW kernel on the cheap
+    # equality mask so it only runs on same-page candidates
+    same = _same_page(t)
+    jw = jaro_winkler_similarity_array(t["path_l"], t["path_r"], mask=same)
+    jw = jw.to_numpy(zero_copy_only=False)
+    return same & (np.nan_to_num(jw.astype(np.float64)) >= 0.95)
+
+
+def _same_lang(t: pa.Table) -> np.ndarray:
+    return pc.equal(t["lang_l"], t["lang_r"]).to_numpy(zero_copy_only=False)
+
+
+def webpage_comparers() -> list[LevelComparer]:
     from mismo_ray.dedupe import hash_set_jaccard_batch
 
     def text_exact(t: pa.Table) -> np.ndarray:
@@ -366,48 +404,20 @@ def webpage_comparers() -> list[LevelComparer]:
         )
         return pc.and_(eq, nonempty).to_numpy(zero_copy_only=False)
 
-    # per-batch memo: both jaccard levels see the SAME table object (the
-    # LevelComparer evaluates levels in order per batch), so compute the
-    # jaccard vector once. Identity check through a live weakref is sound —
-    # a freed table's ref resolves to None, never to a new table.
-    memo = {"ref": None, "val": None}
-
-    def _shingle_jacc(t: pa.Table) -> np.ndarray:
-        r = memo["ref"]
-        if r is not None and r() is t:
-            return memo["val"]
-        # one hash-shingle set per unique text (EM's record sample repeats
-        # each text in ~sqrt(max_pairs) pairs), overlaps from posting runs
-        val = hash_set_jaccard_batch(
+    # one hash-shingle set per unique text (EM's record sample repeats each
+    # text in ~sqrt(max_pairs) pairs), overlaps from posting runs; both
+    # jaccard levels share one computation per batch
+    shingle_jacc = _per_table(
+        lambda t: hash_set_jaccard_batch(
             t["extracted_text_l"], t["extracted_text_r"], _wordshingle_hashes
         )
-        memo["ref"], memo["val"] = weakref.ref(t), val
-        return val
+    )
 
     def text_jaccard_high(t: pa.Table) -> np.ndarray:
-        return _shingle_jacc(t) >= 0.75
+        return shingle_jacc(t) >= 0.75
 
     def text_jaccard_med(t: pa.Table) -> np.ndarray:
-        return _shingle_jacc(t) >= 0.35
-
-    def same_page(t: pa.Table) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        return pc.and_(
-            pc.equal(t["domain_l"], t["domain_r"]),
-            pc.equal(t["path_stem_l"], t["path_stem_r"]),
-        ).to_numpy(zero_copy_only=False)
-
-    def path_jw_high(t: pa.Table) -> np.ndarray:
-        # the level is (same_page & jw): gate the JW kernel on the cheap
-        # equality mask so it only runs on same-page candidates
-        same = same_page(t)
-        jw = jaro_winkler_similarity_array(t["path_l"], t["path_r"], mask=same)
-        jw = jw.to_numpy(zero_copy_only=False)
-        return same & (np.nan_to_num(jw.astype(np.float64)) >= 0.95)
-
-    def same_lang(t: pa.Table) -> np.ndarray:
-        return pc.equal(t["lang_l"], t["lang_r"]).to_numpy(zero_copy_only=False)
+        return shingle_jacc(t) >= 0.35
 
     return [
         LevelComparer(
@@ -424,8 +434,8 @@ def webpage_comparers() -> list[LevelComparer]:
         # unrelated co-hosted pages); same_page + jaro-winkler levels keep EM
         # and supervised training consistent (both reach pairwise F1 = 1.0).
         LevelComparer("url", ["close", "same_page", "else"],
-                      [(path_jw_high, "close"), (same_page, "same_page")]),
-        LevelComparer("lang", ["same", "else"], [(same_lang, "same")]),
+                      [(_path_close, "close"), (_same_page, "same_page")]),
+        LevelComparer("lang", ["same", "else"], [(_same_lang, "same")]),
     ]
 
 
@@ -707,23 +717,10 @@ def sketch_comparers() -> list[LevelComparer]:
     """Comparers over the compact sketches (same tiers as webpage_comparers;
     jaccard estimated by minhash agreement instead of exact shingles)."""
 
-    import weakref
-
     from mismo_ray.dedupe import sig_agreement
 
-    # per-batch memo: text_near and text_similar see the SAME table object
-    # (np.select evaluates every level), so the 16-wide signature compare
-    # runs once per batch instead of once per level — same pattern as the
-    # hash-shingle memo in webpage_comparers
-    memo = {"ref": None, "val": None}
-
-    def _sig_agree(t: pa.Table) -> np.ndarray:
-        r = memo["ref"]
-        if r is not None and r() is t:
-            return memo["val"]
-        val = sig_agreement(t["sig_l"], t["sig_r"])
-        memo["ref"], memo["val"] = weakref.ref(t), val
-        return val
+    # text_near and text_similar share one 16-wide signature compare per batch
+    sig_agree = _per_table(lambda t: sig_agreement(t["sig_l"], t["sig_r"]))
 
     def text_exact(t: pa.Table) -> np.ndarray:
         # null fp (contentless page) matches nothing
@@ -732,29 +729,13 @@ def sketch_comparers() -> list[LevelComparer]:
         ).to_numpy(zero_copy_only=False)
 
     def text_near(t: pa.Table) -> np.ndarray:
-        return _sig_agree(t) >= 0.5
+        return sig_agree(t) >= 0.5
 
     def text_similar(t: pa.Table) -> np.ndarray:
-        return _sig_agree(t) >= 0.25
-
-    def same_page(t: pa.Table) -> np.ndarray:
-        return pc.and_(
-            pc.equal(t["domain_l"], t["domain_r"]),
-            pc.equal(t["path_stem_l"], t["path_stem_r"]),
-        ).to_numpy(zero_copy_only=False)
-
-    def path_jw(t: pa.Table) -> np.ndarray:
-        # gated on same_page: JW runs only where the cheap mask already holds
-        same = same_page(t)
-        jw = jaro_winkler_similarity_array(t["path_l"], t["path_r"], mask=same)
-        jw = jw.to_numpy(zero_copy_only=False)
-        return same & (np.nan_to_num(jw.astype(np.float64)) >= 0.95)
+        return sig_agree(t) >= 0.25
 
     def same_domain(t: pa.Table) -> np.ndarray:
         return pc.equal(t["domain_l"], t["domain_r"]).to_numpy(zero_copy_only=False)
-
-    def same_lang(t: pa.Table) -> np.ndarray:
-        return pc.equal(t["lang_l"], t["lang_r"]).to_numpy(zero_copy_only=False)
 
     return [
         LevelComparer(
@@ -765,9 +746,9 @@ def sketch_comparers() -> list[LevelComparer]:
         LevelComparer(
             "url",
             ["close", "same_domain", "else"],
-            [(path_jw, "close"), (same_domain, "same_domain")],
+            [(_path_close, "close"), (same_domain, "same_domain")],
         ),
-        LevelComparer("lang", ["same", "else"], [(same_lang, "same")]),
+        LevelComparer("lang", ["same", "else"], [(_same_lang, "same")]),
     ]
 
 

@@ -125,7 +125,7 @@ def add_tfidf(
     Vocabularies beyond ``max_broadcast_vocab`` raise instead of silently
     exhausting the driver: at that scale, compute ``term_idf(ds, column)``
     (stays a Dataset), explode the documents to (record_id, term) rows,
-    attach idf with ``cluster.bucketed_lookup_join`` and re-group per record
+    attach idf with ``_joins.bucketed_lookup_join`` and re-group per record
     — the per-document map column then never needs a global broadcast.
     """
     name = result_name.format(name=column)

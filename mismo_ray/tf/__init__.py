@@ -10,10 +10,13 @@
 - ``AmbiguousHaystackFilterer``: drop haystack records whose key appears more
   than once (_filterer.py:88-127).
 
-Ray mapping: frequency tables are groupby-counts; vocabularies up to
-``broadcast_threshold`` are collected + broadcast via ``ray.put`` (one
-map_batches to apply), larger ones stay Datasets and are applied with
-bucketed lookup joins — corpus-sized vocabularies never touch the driver.
+Ray mapping: frequency tables are materialized (value, n) groupby-counts;
+vocabularies up to ``broadcast_threshold`` are collected as Arrow tables,
+shipped with ``ray.put`` and looked up map-side with the ``_joins`` lookup
+kernel; larger ones stay Datasets and are applied with
+``_joins.bucketed_lookup_join`` — corpus-sized vocabularies never touch the
+driver. Both routes give each row a count ``n`` and one loop multiplies
+``n / N`` (``1 / N`` for an unseen value).
 The ambiguity filterer is a distributed bucketed window filter (no dup-set
 collect).
 """
@@ -45,29 +48,23 @@ class TermFrequencyModel:
     """Per-column value->frequency lookups fit on a corpus; applied as the
     product of frequencies across columns (unseen value -> 1/N).
 
-    Vocabularies up to ``broadcast_threshold`` distinct values apply via a
-    broadcast dict (one map, no shuffle); larger vocabularies stay Datasets
-    and apply via bucketed lookup joins (one keyed shuffle per column)."""
+    ``fit`` keeps one materialized (value, n) count table per column.
+    Vocabularies up to ``broadcast_threshold`` distinct values are collected
+    and looked up map-side (one map, no shuffle); larger vocabularies apply
+    via bucketed lookup joins (one keyed shuffle per column)."""
 
     def __init__(self, columns: Sequence[str], *, broadcast_threshold: int = 2_000_000):
         self.columns = list(columns)
         self.broadcast_threshold = broadcast_threshold
-        self._freqs: dict[str, dict | None] = {}
         self._count_ds: dict[str, ray.data.Dataset] = {}
         self._n_total = 0
 
     def fit(self, ds: ray.data.Dataset) -> "TermFrequencyModel":
         self._n_total = ds.count()
         for c in self.columns:
-            counts = ds.groupby(c).aggregate(Count(alias_name="n")).materialize()
-            self._count_ds[c] = counts
-            if counts.count() <= self.broadcast_threshold:
-                pdf = counts.to_pandas()
-                self._freqs[c] = {
-                    v: int(n) / self._n_total for v, n in zip(pdf[c], pdf["n"])
-                }
-            else:
-                self._freqs[c] = None  # corpus-sized vocab: join path
+            self._count_ds[c] = (
+                ds.groupby(c).aggregate(Count(alias_name="n")).materialize()
+            )
         return self
 
     def add_term_frequencies(
@@ -79,53 +76,54 @@ class TermFrequencyModel:
     ) -> ray.data.Dataset:
         """Append the product-of-frequencies column. ``columns`` maps the
         fitted column names to the names in ``ds`` (defaults to identity)."""
-        if not self._freqs:
+        from mismo_ray._joins import bucketed_lookup_join, lookup_positions, take_rows
+        from mismo_ray._util import collect_table
+
+        if not self._count_ds:
             raise RuntimeError("call fit() first")
         colmap = columns or {c: c for c in self.columns}
-        default = 1.0 / max(self._n_total, 1)
         n_total = max(self._n_total, 1)
 
-        bcast_cols = {f: d for f, d in colmap.items() if self._freqs[f] is not None}
-        join_cols = {f: d for f, d in colmap.items() if self._freqs[f] is None}
-
+        # per fitted column: its collected count table (small vocabulary) or
+        # None, when a bucketed lookup join adds its counts as a column
         out = ds
-        tmp_cols = []
-        if join_cols:
-            from mismo_ray.cluster._connected_components import (
-                bucketed_lookup_join,
+        small: dict[str, pa.Table | None] = {}
+        for fit_col, ds_col in colmap.items():
+            counts = self._count_ds[fit_col]
+            if counts.count() <= self.broadcast_threshold:
+                small[fit_col] = collect_table(counts).combine_chunks()
+                continue
+            small[fit_col] = None
+            out = bucketed_lookup_join(
+                out,
+                ds_col,
+                counts,
+                key_name=fit_col,
+                val_name="n",
+                out_type=pa.int64(),
+                result_name=f"__tfn_{fit_col}",
+                on_missing=lambda missing: pa.array(
+                    [0] * len(missing), type=pa.int64()
+                ),
             )
-
-            for fit_col, ds_col in join_cols.items():
-                tmp = f"__tfn_{fit_col}"
-                tmp_cols.append(tmp)
-                out = bucketed_lookup_join(
-                    out,
-                    ds_col,
-                    self._count_ds[fit_col],
-                    key_name=fit_col,
-                    val_name="n",
-                    out_type=pa.int64(),
-                    result_name=tmp,
-                    on_missing=lambda missing: pa.array(
-                        [0] * len(missing), type=pa.int64()
-                    ),
-                )
-
-        ref = ray.put({f: self._freqs[f] for f in bcast_cols})
+        tmp_cols = [f"__tfn_{f}" for f, t in small.items() if t is None]
+        ref = ray.put(small)
 
         def fn(t: pa.Table) -> pa.Table:
-            freqs = ray.get(ref)
+            tables = ray.get(ref)
             prod = np.ones(len(t), dtype=np.float64)
-            for fit_col, ds_col in bcast_cols.items():
-                lookup = freqs[fit_col]
-                vals = t[ds_col].to_pylist()
-                prod *= np.array([lookup.get(v, default) for v in vals])
-            for tmp in tmp_cols:
-                n = np.asarray(t[tmp], dtype=np.float64)
-                prod *= np.where(n > 0, n / n_total, default)
-            if tmp_cols:
-                t = t.drop_columns(tmp_cols)
-            return t.append_column(name_as, pa.array(prod))
+            for fit_col, ds_col in colmap.items():
+                counts = tables[fit_col]
+                if counts is None:
+                    n = t[f"__tfn_{fit_col}"]
+                elif counts.num_rows:
+                    pos = lookup_positions(t[ds_col], counts[fit_col])
+                    n = take_rows(counts["n"], pos)
+                else:
+                    n = pa.nulls(len(t), pa.int64())
+                n = np.asarray(n.fill_null(0), dtype=np.float64)
+                prod *= np.where(n > 0, n / n_total, 1.0 / n_total)
+            return t.drop_columns(tmp_cols).append_column(name_as, pa.array(prod))
 
         return out.map_batches(fn, batch_format="pyarrow")
 

@@ -10,9 +10,13 @@ Reference:
 - link_counts / with_n_links: /root/reference/mismo/types/_linked_table.py:192-303
   (per-record link count incl. the zero bucket).
 
-Ray-Data mapping: each member is a ``ray.data.Dataset``; attaching ``_l``/``_r``
-columns is two hash equi-joins keyed on the record ids; counts are
-groupby-aggregates over the links only (never over the record corpus).
+Ray-Data mapping: each member is a ``ray.data.Dataset``. Attaching
+``_l``/``_r`` record columns and per-record link counts is one lookup: a
+small side is collected once as an Arrow table, ``ray.put`` and looked up
+per batch with the ``_joins`` kernel (``lookup_positions`` + ``take_rows``);
+a large one goes through ``_joins.bucketed_lookup_join``, one keyed shuffle
+whose buckets run the same kernel. Counts are bucketed aggregates over the
+links only (never over the record corpus).
 """
 
 from __future__ import annotations
@@ -21,40 +25,124 @@ import json
 import os
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 
+import numpy as np
 import pyarrow as pa
+import ray
 import ray.data
 from ray.data.aggregate import Count
 
-from mismo_ray._joins import broadcast_lookup, default_num_partitions, hash_join
+from mismo_ray._joins import (
+    bucketed_lookup_join,
+    default_num_partitions,
+    lookup_positions,
+    partition_hint,
+    take_rows,
+)
+from mismo_ray._util import EMPTY_LINKS_SCHEMA, base_schema_or, collect_table, hash64
+
+# with_both collects record tables of at most this many rows
+BROADCAST_ROWS = 200_000
+# with_n_links collects at most this many per-record counts
+N_LINKS_BROADCAST_ROWS = 5_000_000
 
 
-def _prune_rename(
-    ds: ray.data.Dataset, columns: Sequence[str] | None, suffix: str
+def _names(columns: Sequence[str] | None) -> list[str] | None:
+    return None if columns is None else list(columns)
+
+
+def _side_schema(ds: ray.data.Dataset, columns: Sequence[str] | None) -> pa.Schema:
+    """``ds``'s schema; for an empty side without one, null-typed record_id
+    and ``columns`` (zero rows, so the types never meet data)."""
+    names = ["record_id", *(columns or [])]
+    return base_schema_or(ds, pa.schema([pa.field(c, pa.null()) for c in names]))
+
+
+def collect_side(ds: ray.data.Dataset, columns: Sequence[str] | None) -> pa.Table:
+    """A record table's record_id + ``columns`` (every column when None) as
+    one Arrow table; an empty one has the ``_side_schema``."""
+    names = None if columns is None else ["record_id", *columns]
+    t = collect_table(ds if names is None else ds.select_columns(names))
+    if not t.num_columns:
+        t = _side_schema(ds, columns).empty_table()
+    # select again: Ray's projection of an empty Dataset keeps the columns
+    # it projected away
+    return (t if names is None else t.select(names)).combine_chunks()
+
+
+def attach_collected(
+    links: ray.data.Dataset, left: pa.Table, right: pa.Table
+) -> ray.data.Dataset:
+    """links + every non-id column of ``left`` suffixed ``_l`` (looked up by
+    record_id_l) and of ``right`` suffixed ``_r`` (by record_id_r): both
+    tables are put in the object store once and each batch takes all their
+    columns at the looked-up positions. A miss gives nulls; zero-row,
+    column-less blocks pass through."""
+    ref = ray.put((left, right))
+
+    def attach(t: pa.Table) -> pa.Table:
+        if not t.num_columns:
+            return t
+        for side, key, suffix in zip(
+            ray.get(ref), ("record_id_l", "record_id_r"), ("_l", "_r")
+        ):
+            pos = lookup_positions(t[key], side["record_id"])
+            rows = take_rows(side.drop_columns(["record_id"]), pos)
+            for name, col in zip(rows.column_names, rows.columns):
+                t = t.append_column(f"{name}{suffix}", col)
+        return t
+
+    return links.map_batches(attach, batch_format="pyarrow")
+
+
+def _attach_shuffled(
+    links: ray.data.Dataset,
+    schema: pa.Schema,
+    records: ray.data.Dataset,
+    columns: Sequence[str] | None,
+    key: str,
+    suffix: str,
+    num_partitions: int | None,
 ) -> tuple[ray.data.Dataset, pa.Schema]:
-    """Project to (record_id, columns...) and suffix everything, so the join
-    ships only the needed columns (prune-at-the-read discipline).
-    Returns (dataset, schema) so joins need no schema inference."""
-    _s = ds.schema(fetch_if_missing=True)
-    base = _s.base_schema if _s is not None else pa.schema(
-        [pa.field("record_id", pa.int64())]
-        + [pa.field(c, pa.null()) for c in (columns or [])]
-    )  # empty side: zero rows, types never meet data
+    """links (of ``schema``) + suffixed record columns looked up by ``key``
+    in one bucketed lookup join: the columns travel packed in one struct,
+    so list payloads and struct ids work. Returns the output schema too."""
+    base = _side_schema(records, columns)
+    cols = [c for c in base.names if c != "record_id"] if columns is None else list(columns)
+    if not cols:
+        return links, schema
+    rec_type = pa.struct([base.field(c) for c in cols])
 
-    def fn(t: pa.Table) -> pa.Table:
-        cols = list(columns) if columns is not None else [
-            c for c in t.column_names if c != "record_id"
-        ]
-        t = t.select(["record_id", *cols])
-        return t.rename_columns([f"{c}{suffix}" for c in t.column_names])
+    def pack(t: pa.Table) -> pa.Table:
+        rec = pa.StructArray.from_arrays(
+            [t[c].combine_chunks() for c in cols], fields=list(rec_type)
+        )
+        return pa.table({"record_id": t["record_id"], "__rec__": rec})
 
-    cols = list(columns) if columns is not None else [
-        c for c in base.names if c != "record_id"
-    ]
-    schema = pa.schema(
-        [pa.field(f"{c}{suffix}", base.field(c).type) for c in ["record_id", *cols]]
+    def unpack(t: pa.Table) -> pa.Table:
+        rec = t["__rec__"].combine_chunks()
+        t = t.drop_columns(["__rec__"])
+        for c, col in zip(cols, rec.flatten()):
+            t = t.append_column(f"{c}{suffix}", col)
+        return t
+
+    with partition_hint(num_partitions) if num_partitions else nullcontext():
+        joined = bucketed_lookup_join(
+            links,
+            key,
+            records.map_batches(pack, batch_format="pyarrow"),
+            key_name="record_id",
+            val_name="__rec__",
+            out_type=rec_type,
+            result_name="__rec__",
+            on_missing=lambda missing: pa.nulls(len(missing), rec_type),
+            ds_schema=schema,
+        )
+    out_schema = pa.schema(
+        list(schema) + [pa.field(f"{c}{suffix}", base.field(c).type) for c in cols]
     )
-    return ds.map_batches(fn, batch_format="pyarrow"), schema
+    return joined.map_batches(unpack, batch_format="pyarrow"), out_schema
 
 
 class LinksTable:
@@ -73,23 +161,27 @@ class LinksTable:
         self.right = right
         self.schema = schema  # known links schema (avoids plan execution)
 
+    def _links_schema(self) -> pa.Schema:
+        return self.schema or base_schema_or(self.ds, EMPTY_LINKS_SCHEMA)
+
     def with_left(
         self, columns: Sequence[str] | None = None, *, num_partitions: int | None = None
     ) -> ray.data.Dataset:
-        left, lsch = _prune_rename(self.left, columns, "_l")
-        return hash_join(
-            self.ds, left, on="record_id_l", num_partitions=num_partitions,
-            left_schema=self.schema, right_schema=lsch,
-        )
+        """links + ``<col>_l`` columns, looked up in one keyed shuffle (a
+        link whose id has no record gets nulls)."""
+        return _attach_shuffled(
+            self.ds, self._links_schema(), self.left, columns,
+            "record_id_l", "_l", num_partitions,
+        )[0]
 
     def with_right(
         self, columns: Sequence[str] | None = None, *, num_partitions: int | None = None
     ) -> ray.data.Dataset:
-        right, rsch = _prune_rename(self.right, columns, "_r")
-        return hash_join(
-            self.ds, right, on="record_id_r", num_partitions=num_partitions,
-            left_schema=self.schema, right_schema=rsch,
-        )
+        """links + ``<col>_r`` columns, looked up like ``with_left``."""
+        return _attach_shuffled(
+            self.ds, self._links_schema(), self.right, columns,
+            "record_id_r", "_r", num_partitions,
+        )[0]
 
     def with_both(
         self,
@@ -97,96 +189,32 @@ class LinksTable:
         columns_r: Sequence[str] | None = None,
         *,
         num_partitions: int | None = None,
-        broadcast_threshold: int = 200_000,
     ) -> ray.data.Dataset:
-        """links + ``<col>_l`` and ``<col>_r`` columns.
+        """links + ``<col>_l`` and ``<col>_r`` columns (every record column
+        but record_id when ``columns_*`` is None); a link whose id has no
+        record gets nulls, and a null id matches a null record_id.
 
-        Small record tables (<= broadcast_threshold rows) are collected once
-        and broadcast via ``ray.put`` — one map over the links, no shuffle.
-        Larger tables fall back to two hash joins (the scale path).
-        """
-        try:
-            n_left = self.left.count()
-            n_right = n_left if self.right is self.left else self.right.count()
-        except Exception:
-            n_left = n_right = broadcast_threshold + 1
-        if max(n_left, n_right) <= broadcast_threshold:
-            return self._with_both_broadcast(columns_l, columns_r)
-        n = num_partitions or default_num_partitions()
-        left, lsch = _prune_rename(self.left, columns_l, "_l")
-        right, rsch = _prune_rename(self.right, columns_r, "_r")
-        sch1 = None
-        if self.schema is not None:
-            merged = [f for f in self.schema] + [
-                f for f in lsch if f.name != "record_id_l"
-            ]
-            sch1 = pa.schema(merged)
-        out = hash_join(
-            self.ds, left, on="record_id_l", num_partitions=n,
-            left_schema=self.schema, right_schema=lsch,
-        )
-        return hash_join(
-            out, right, on="record_id_r", num_partitions=n,
-            left_schema=sch1, right_schema=rsch,
-        )
-
-    def _with_both_broadcast(
-        self,
-        columns_l: Sequence[str] | None,
-        columns_r: Sequence[str] | None,
-    ) -> ray.data.Dataset:
-        import ray as _ray
-
-        def collect(ds: ray.data.Dataset, columns) -> tuple[dict, list, list]:
-            base_s = ds.schema(fetch_if_missing=True)
-            if base_s is None:  # empty side: nothing to attach
-                cols = list(columns) if columns is not None else []
-                return {}, cols, [pa.null()] * len(cols)
-            base = base_s.base_schema
-            cols = list(columns) if columns is not None else [
-                c for c in base.names if c != "record_id"
-            ]
-            types = [base.field(c).type for c in cols]
-            m: dict = {}
-            for b in ds.select_columns(["record_id", *cols]).iter_batches(
-                batch_format="pyarrow"
-            ):
-                ids = b["record_id"].to_pylist()
-                vals = [b[c].to_pylist() for c in cols]
-                for i, rid in enumerate(ids):
-                    m[rid] = tuple(v[i] for v in vals)
-            return m, cols, types
-
-        lmap, lcols, ltypes = collect(self.left, columns_l)
-        if self.right is self.left and (columns_r or None) == (columns_l or None):
-            rmap, rcols, rtypes = lmap, lcols, ltypes
-        else:
-            rmap, rcols, rtypes = collect(self.right, columns_r)
-        ref = _ray.put((lmap, rmap))
-
-        def attach(t: pa.Table) -> pa.Table:
-            lm, rm = _ray.get(ref)
-            lids = t["record_id_l"].to_pylist()
-            rids = t["record_id_r"].to_pylist()
-            lrows = [lm.get(x) for x in lids]
-            rrows = [rm.get(x) for x in rids]
-            for j, c in enumerate(lcols):
-                t = t.append_column(
-                    f"{c}_l",
-                    pa.array(
-                        [None if r is None else r[j] for r in lrows], type=ltypes[j]
-                    ),
-                )
-            for j, c in enumerate(rcols):
-                t = t.append_column(
-                    f"{c}_r",
-                    pa.array(
-                        [None if r is None else r[j] for r in rrows], type=rtypes[j]
-                    ),
-                )
-            return t
-
-        return self.ds.map_batches(attach, batch_format="pyarrow")
+        Record tables of at most ``BROADCAST_ROWS`` rows are collected once
+        as Arrow tables and attached in one map over the links
+        (``attach_collected``). Larger ones are attached with one bucketed
+        lookup join per side (the scale path)."""
+        n_left = self.left.count()
+        n_right = n_left if self.right is self.left else self.right.count()
+        if max(n_left, n_right) <= BROADCAST_ROWS:
+            left = collect_side(self.left, columns_l)
+            same = self.right is self.left and _names(columns_r) == _names(columns_l)
+            right = left if same else collect_side(self.right, columns_r)
+            return attach_collected(self.ds, left, right)
+        schema = self._links_schema()
+        out = self.ds
+        for records, columns, key, suffix in (
+            (self.left, columns_l, "record_id_l", "_l"),
+            (self.right, columns_r, "record_id_r", "_r"),
+        ):
+            out, schema = _attach_shuffled(
+                out, schema, records, columns, key, suffix, num_partitions
+            )
+        return out
 
     def count(self) -> int:
         return self.ds.count()
@@ -243,55 +271,68 @@ class Linkage:
 
     # ------------------------------------------------------------ diagnostics
     def _n_links_ds(self, side: str) -> ray.data.Dataset:
+        """(record_id, n_links) per record of ``side`` with links. Links are
+        distinct pairs by construction (linkers dedup). One bucketed shuffle
+        on the id hash, counted per bucket with the lookup kernel, so null
+        and struct ids count like any other."""
         key = "record_id_l" if side == "left" else "record_id_r"
-        # links are already distinct pairs by construction (linkers dedup);
-        # count links per record on this side.
-        return (
-            self._links.groupby(key)
-            .aggregate(Count(alias_name="n_links"))
-            .map_batches(
-                lambda t: t.rename_columns(
-                    ["record_id" if c == key else c for c in t.column_names]
-                ),
-                batch_format="pyarrow",
+        B = default_num_partitions()
+
+        def bucket(t: pa.Table) -> pa.Table:
+            ids = t[key].combine_chunks()
+            b = (hash64(ids) % np.uint64(B)).astype(np.int64)
+            return pa.table({"record_id": ids, "__nb__": pa.array(b)})
+
+        def count(g: pa.Table) -> pa.Table:
+            ids = g["record_id"].combine_chunks()
+            # each id's first row in the bucket, one count per first row
+            first, n = np.unique(lookup_positions(ids, ids), return_counts=True)
+            return pa.table(
+                {"record_id": take_rows(ids, first), "n_links": pa.array(n)}
             )
+
+        return (
+            self._links.map_batches(bucket, batch_format="pyarrow")
+            .groupby("__nb__")
+            .map_groups(count, batch_format="pyarrow")
         )
 
-    def with_n_links(
-        self, side: str = "left", *, broadcast_threshold: int = 5_000_000
-    ) -> ray.data.Dataset:
+    def with_n_links(self, side: str = "left") -> ray.data.Dataset:
         """Records of ``side`` with an ``n_links`` column (0 for unlinked).
 
-        When the per-record counts table is small it is broadcast into a map
-        over the records (no shuffle); above ``broadcast_threshold`` rows it
-        falls back to a hash left-outer join.
-        """
-        counts_ds = self._n_links_ds(side)
+        The per-record counts are materialized once. At most
+        ``N_LINKS_BROADCAST_ROWS`` of them are collected and looked up in
+        one map over the records (no shuffle); more are attached with a
+        bucketed lookup join."""
+        counts = self._n_links_ds(side).materialize()
         records = self.left if side == "left" else self.right
-        if counts_ds.count() <= broadcast_threshold:
-            counts = counts_ds.to_pandas()
-            mapping = (
-                dict(zip(counts["record_id"], counts["n_links"]))
-                if len(counts)
-                else {}  # no links: every record gets the 0 default
-            )
-            return broadcast_lookup(
+        if counts.count() > N_LINKS_BROADCAST_ROWS:
+            return bucketed_lookup_join(
                 records,
                 "record_id",
-                mapping,
+                counts,
+                key_name="record_id",
+                val_name="n_links",
+                out_type=pa.int64(),
                 result_name="n_links",
-                default=0,
-                result_type=pa.int64(),
+                on_missing=lambda missing: pa.array(
+                    np.zeros(len(missing), dtype=np.int64)
+                ),
             )
-        joined = hash_join(records, counts_ds, on="record_id", how="left_outer")
+        ref = ray.put(collect_table(counts).combine_chunks())
 
-        def fill_zero(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        def attach(t: pa.Table) -> pa.Table:
+            c = ray.get(ref)
+            if not t.num_columns:
+                return t
+            if c.num_rows:
+                pos = lookup_positions(t["record_id"], c["record_id"])
+                n = take_rows(c["n_links"], pos).fill_null(0)
+            else:  # no links: every record has 0
+                n = pa.array(np.zeros(len(t), dtype=np.int64))
+            return t.append_column("n_links", n)
 
-            n = pc.fill_null(t["n_links"], 0)
-            return t.set_column(t.schema.get_field_index("n_links"), "n_links", n)
-
-        return joined.map_batches(fill_zero, batch_format="pyarrow")
+        return records.map_batches(attach, batch_format="pyarrow")
 
     def link_counts(self, side: str = "left") -> ray.data.Dataset:
         """Histogram: n_links -> n_records, including the zero bucket

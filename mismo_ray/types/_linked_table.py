@@ -33,7 +33,7 @@ def with_linked_values(
 ) -> ray.data.Dataset:
     """Records of ``side`` + one list column per requested other-side column
     (named ``{col}{suffix}``); records with no links get empty lists."""
-    from mismo_ray.cluster._connected_components import bucketed_lookup_join
+    from mismo_ray._joins import bucketed_lookup_join
 
     columns = list(columns)
     own_key = "record_id_l" if side == "left" else "record_id_r"

@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mismo_ray._joins import hash_join
@@ -458,7 +458,7 @@ def test_bucketed_lookup_join_property(mapping, lookups, as_struct):
 
     The fill depends on the key, so a fill landing on the wrong row fails;
     the struct case is the value type ``_linked_table`` looks up."""
-    from mismo_ray.cluster._connected_components import bucketed_lookup_join
+    from mismo_ray._joins import bucketed_lookup_join
 
     def fill_of(k):
         return -len(k)
@@ -637,3 +637,136 @@ def test_fused_or_linker_link_matches_or_linker(a, b, a2, b2, salt_rows, max_pai
         ["record_id_l", "record_id_r"],
     )
     assert fused == plain
+
+
+def _ids_of(kind: str):
+    """int -> record id of ``kind`` (int, string or struct)."""
+    if kind == "int":
+        return lambda i: i
+    if kind == "str":
+        return lambda i: f"r{i}"
+    return lambda i: {"a": i, "b": f"x{i}"}
+
+
+def _frozen(v):
+    return tuple(sorted(v.items())) if isinstance(v, dict) else v
+
+
+def _records(rid, id_type, ids, vals):
+    # three blocks: the small-side collect and the per-batch lookup both see
+    # chunked input
+    vals = vals[: len(ids)]
+    t = pa.table(
+        {
+            "record_id": pa.array([rid(i) for i in ids], id_type),
+            "s": pa.array(
+                [None if v is None else f"s{v}" for v in vals], pa.string()
+            ),
+            "v": pa.array(
+                [None if v is None else [float(v)] * (v % 3) for v in vals],
+                pa.list_(pa.float64()),
+            ),
+            "n": pa.array(vals, pa.int64()),
+        }
+    )
+    third = max(1, len(t) // 3)
+    return ray.data.from_arrow(
+        [t.slice(0, third), t.slice(third, third), t.slice(2 * third)]
+    )
+
+
+id_pool = st.one_of(st.integers(0, 9), st.none())
+
+
+@pytest.mark.usefixtures("ray_session")
+@settings(**SETTINGS)
+@given(
+    kind=st.sampled_from(["int", "str", "struct"]),
+    left_ids=st.lists(st.integers(0, 7), unique=True, max_size=6),
+    right_ids=st.one_of(
+        st.none(), st.lists(st.integers(0, 7), unique=True, max_size=6)
+    ),
+    vals=st.lists(st.one_of(st.integers(0, 9), st.none()), min_size=6, max_size=6),
+    links=st.lists(st.tuples(id_pool, id_pool), max_size=12),
+    columns=st.tuples(*[st.sampled_from([None, ["s"], ["v", "n"], []])] * 2),
+)
+# an empty side that is also the right side, projected to fewer columns
+@example(
+    kind="int", left_ids=[], right_ids=None, vals=[0] * 6,
+    links=[(None, None)], columns=(None, ["s"]),
+)
+def test_link_attach_routes_match_dict(
+    monkeypatch, kind, left_ids, right_ids, vals, links, columns
+):
+    """Both routes of ``with_both`` and ``with_n_links`` — the collected
+    lookup and the bucketed shuffle, forced by a size gate of -1 (so an
+    empty record side takes it too) — vs a
+    python dict. Link ids missing from the records or null get nulls (and
+    count for no record); ``right_ids=None`` makes the right side the left
+    Dataset itself, with its own column list."""
+    from mismo_ray.types import Linkage
+    from mismo_ray.types import _linkage
+
+    rid = _ids_of(kind)
+    id_type = {
+        "int": pa.int64(),
+        "str": pa.string(),
+        "struct": pa.struct([("a", pa.int64()), ("b", pa.string())]),
+    }[kind]
+    left = _records(rid, id_type, left_ids, vals)
+    right = left if right_ids is None else _records(rid, id_type, right_ids, vals[::-1])
+    by_id = [
+        {_frozen(rid(i)): r for i, r in zip(ids, side.take_all())}
+        for ids, side in ((left_ids, left), (right_ids or left_ids, right))
+    ]
+    lt = pa.table(
+        {
+            f"record_id{suffix}": pa.array(
+                [None if p[k] is None else rid(p[k]) for p in links], id_type
+            )
+            for k, suffix in enumerate(("_l", "_r"))
+        }
+    ).append_column("w", pa.array(range(len(links)), pa.int64()))
+    linkage = Linkage(
+        left=left,
+        right=right,
+        links=ray.data.from_arrow([lt.slice(0, len(lt) // 2), lt.slice(len(lt) // 2)]),
+    )
+    cols = [
+        ["s", "v", "n"] if c is None else c for c in columns
+    ]
+    expect = []
+    for row in lt.to_pylist():
+        out = dict(row)
+        for side, key, suffix, cs in zip(by_id, ("record_id_l", "record_id_r"), ("_l", "_r"), cols):
+            rec = side.get(_frozen(row[key]), {})
+            for c in cs:
+                out[f"{c}{suffix}"] = rec.get(c)
+        expect.append(out)
+    names = ["record_id_l", "record_id_r", "w"] + [
+        f"{c}{suffix}" for cs, suffix in zip(cols, ("_l", "_r")) for c in cs
+    ]
+    n_links = {}
+    for a, _ in links:
+        n_links[a] = n_links.get(a, 0) + 1
+    expect_n = sorted(
+        (i, n_links.get(i, 0), vals[k]) for k, i in enumerate(left_ids)
+    )
+
+    def canon(rows):
+        return sorted(repr(sorted((k, _frozen(v)) for k, v in r.items())) for r in rows)
+
+    for gate in (_linkage.BROADCAST_ROWS, -1):
+        monkeypatch.setattr(_linkage, "BROADCAST_ROWS", gate)
+        got = linkage.links.with_both(*columns).take_all()
+        assert canon(got) == canon(expect)
+        assert all(list(r) == names for r in got)
+    for gate in (_linkage.N_LINKS_BROADCAST_ROWS, -1):
+        monkeypatch.setattr(_linkage, "N_LINKS_BROADCAST_ROWS", gate)
+        got_n = sorted(
+            (_frozen(r["record_id"]), r["n_links"], r["n"])
+            for r in linkage.with_n_links("left").take_all()
+        )
+        assert got_n == sorted(
+            (_frozen(rid(i)), n, v) for i, n, v in expect_n
+        )
