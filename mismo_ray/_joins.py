@@ -409,6 +409,39 @@ def take_rows(values, pos: np.ndarray):
     return values.take(pa.array(pos, mask=miss) if miss.any() else pa.array(pos))
 
 
+def count_values(
+    ds: ray.data.Dataset,
+    column: str,
+    *,
+    value_name: str | None = None,
+    count_name: str = "n",
+) -> ray.data.Dataset:
+    """``(value, n)`` per distinct value of ``column`` (``value_name``
+    renames the value column). One bucketed shuffle on the value hash,
+    counted per bucket with the lookup kernel, so null, struct and list
+    values count like any other (Ray's sort-based ``groupby`` cannot order
+    struct values). Rows come in no particular order."""
+    B = default_num_partitions()
+    value_name = value_name or column
+
+    def bucket(t: pa.Table) -> pa.Table:
+        vals = t[column].combine_chunks()
+        b = (hash64(vals) % np.uint64(B)).astype(np.int64)
+        return pa.table({value_name: vals, "__cvb__": pa.array(b)})
+
+    def count(g: pa.Table) -> pa.Table:
+        vals = g[value_name].combine_chunks()
+        # each value's first row in the bucket, one count per first row
+        first, n = np.unique(lookup_positions(vals, vals), return_counts=True)
+        return pa.table({value_name: take_rows(vals, first), count_name: pa.array(n)})
+
+    return (
+        ds.map_batches(bucket, batch_format="pyarrow")
+        .groupby("__cvb__")
+        .map_groups(count, batch_format="pyarrow")
+    )
+
+
 def _lookup(
     keys: pa.Array, mkeys: pa.Array, mvals: pa.Array, on_missing, what: str
 ) -> pa.Array:

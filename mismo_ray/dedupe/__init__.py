@@ -19,6 +19,7 @@ primitives into the dedup shapes a 100 TB corpus pipeline needs:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 
@@ -105,6 +106,13 @@ def char_shingles(s: str | None, w: int = 5) -> list[str] | None:
     return [s[i : i + w] for i in range(len(s) - w + 1)]
 
 
+def _affine_family(num_hashes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded minhash family h_k(x) = a_k * x + b_k (mod 2^64)."""
+    with np.errstate(over="ignore"):
+        a = splitmix64(np.arange(1, num_hashes + 1, dtype=np.uint64) * np.uint64(seed * 2 + 1))
+    return a, splitmix64(a ^ np.uint64(0xABCDEF))
+
+
 def minhash_signature(
     shingles: list[str] | None, *, num_hashes: int = 64, seed: int = 7
 ) -> np.ndarray | None:
@@ -114,12 +122,9 @@ def minhash_signature(
     if not shingles:
         return np.full(num_hashes, np.iinfo(np.uint64).max, dtype=np.uint64)
     base = hash64(list(set(shingles)), seed=seed)  # (n_shingles,)
+    a, b = _affine_family(num_hashes, seed)
     with np.errstate(over="ignore"):
-        a = splitmix64(np.arange(1, num_hashes + 1, dtype=np.uint64) * np.uint64(seed * 2 + 1))
-        b = splitmix64(a ^ np.uint64(0xABCDEF))
-        # h_i(x) = a_i * x + b_i (mod 2^64)
-        sig = (base[None, :] * a[:, None] + b[:, None]).min(axis=1)
-    return sig
+        return (base[None, :] * a[:, None] + b[:, None]).min(axis=1)
 
 
 def minhash_signatures_batch(
@@ -151,9 +156,7 @@ def minhash_signatures_batch(
     if not all_shingles:
         return sig, valid
     base = hash64(all_shingles, seed=seed)  # (S,)
-    with np.errstate(over="ignore"):
-        a = splitmix64(np.arange(1, num_hashes + 1, dtype=np.uint64) * np.uint64(seed * 2 + 1))
-        b = splitmix64(a ^ np.uint64(0xABCDEF))
+    a, b = _affine_family(num_hashes, seed)
     nonempty = offsets[:-1] < offsets[1:]
     starts = offsets[:-1][nonempty]
     with np.errstate(over="ignore"):
@@ -163,28 +166,114 @@ def minhash_signatures_batch(
     return sig, valid
 
 
+# ------------------------------------------------------- charhash shingles
+# The charhash family: the w-codepoint shingle at position g of a text with
+# codepoints c is  h = splitmix64(sum_j c[g+j] * B**(w-1-j) ^ seed)  (mod 2^64;
+# a text of at most w codepoints is one window of its own length). With the
+# prefix sums Q[k] = sum_{i<k} c[i] * B**-i, every window is
+# B**(g+w-1) * (Q[g+w] - Q[g]): O(1) per position. B is odd, so B**-1 exists
+# mod 2^64 and uint64 wrap-around is exact.
+_FNV_B = 1099511628211
+_FNV_B_INV = pow(_FNV_B, -1, 1 << 64)
+# codepoints per step of the kernel (at least one row per step): its
+# temporaries, a few uint64 arrays of this length, stay near 1 MB however
+# large the batch is
+_CHUNK_CODEPOINTS = 1 << 14
+
+
+def _powers(base: int, n: int) -> np.ndarray:
+    """``base**k mod 2^64`` for k in [0, n)."""
+    p = np.full(n, base, dtype=np.uint64)
+    p[:1] = 1
+    return np.multiply.accumulate(p, out=p)
+
+
+@functools.cache
+def _power_tables() -> tuple[np.ndarray, np.ndarray]:
+    """B**k and B**-k for k below the chunk budget, built on first use (a
+    process that never sketches does not hold them)."""
+    return _powers(_FNV_B, _CHUNK_CODEPOINTS), _powers(_FNV_B_INV, _CHUNK_CODEPOINTS)
+
+
+def _chunk_hashes(
+    codes: np.ndarray, lens: np.ndarray, w: int, seed: np.uint64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shingle hashes of consecutive rows whose codepoints are ``codes``
+    (row lengths ``lens``), row-major, plus each row's run offsets."""
+    L = len(codes)
+    pw, ipw = _power_tables()
+    if L > len(pw):  # one row longer than the chunk budget
+        pw, ipw = _powers(_FNV_B, L), _powers(_FNV_B_INV, L)
+    off = np.cumsum(lens) - lens
+    n_win = np.where(lens >= w, lens - w + 1, np.minimum(lens, 1))
+    starts = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(n_win, out=starts[1:])
+    q = np.zeros(L + 1, dtype=np.uint64)
+    np.multiply(codes, ipw[:L], out=q[1:])
+    np.cumsum(q[1:], out=q[1:])
+    h = np.empty(0, dtype=np.uint64)
+    if L >= w:
+        # full-width windows at every position; keep those inside one row
+        h = q[w:] - q[: L - w + 1]
+        h *= pw[w - 1 : L]
+        full = lens >= w
+        inside = np.zeros(L - w + 2, dtype=np.int8)
+        inside[off[full]] = 1
+        inside[off[full] + lens[full] - w + 1] -= 1
+        h = h[np.cumsum(inside[:-1], dtype=np.int8).astype(bool)]
+    short = (lens > 0) & (lens < w)
+    if short.any():
+        # the whole text is the one window
+        o, k = off[short], lens[short]
+        at = starts[:-1][short]
+        rest = np.ones(starts[-1], dtype=bool)
+        rest[at] = False
+        out = np.empty(starts[-1], dtype=np.uint64)
+        out[rest] = h
+        out[at] = pw[o + k - 1] * (q[o + k] - q[o])
+        h = out
+    h ^= seed
+    return splitmix64(h), starts
+
+
+def _charshingle_chunks(texts: list[str | None], w: int, seed: int):
+    """Yield ``(lo, hi, hashes, starts)`` per run of rows ``[lo, hi)`` of at
+    most ``_CHUNK_CODEPOINTS`` codepoints (or one longer row): row ``lo + i``'s
+    shingle hashes are ``hashes[starts[i]:starts[i + 1]]``. None and ``''``
+    have none. Each run is encoded once, as one utf-32 string."""
+    texts = ["" if s is None else s for s in texts]
+    lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    cum = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(lens, out=cum[1:])
+    seed = np.uint64(seed)
+    lo = 0
+    while lo < len(texts):
+        hi = int(np.searchsorted(cum, cum[lo] + _CHUNK_CODEPOINTS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        # utf-32: one code unit per codepoint, so str lengths are code offsets
+        codes = np.frombuffer("".join(texts[lo:hi]).encode("utf-32-le"), dtype=np.uint32)
+        yield (lo, hi, *_chunk_hashes(codes, lens[lo:hi], w, seed))
+        lo = hi
+
+
+def charshingle_hashes_batch(
+    texts: list[str | None], w: int, *, seed: int = 7
+) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 hashes of every w-codepoint shingle of every text, WITHOUT
+    materializing substrings: row i's are ``hashes[starts[i]:starts[i+1]]``,
+    in position order (none for None or ``''``). Duplicates are kept:
+    min-hashing is duplicate-insensitive."""
+    starts = np.zeros(len(texts) + 1, dtype=np.int64)
+    parts = []
+    for lo, hi, h, st in _charshingle_chunks(texts, w, seed):
+        starts[lo + 1 : hi + 1] = starts[lo] + st[1:]
+        parts.append(h)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64), starts
+
+
 def charshingle_hashes(s: str, w: int, *, seed: int = 7) -> np.ndarray:
-    """uint64 hashes of all w-char shingles WITHOUT materializing substrings:
-    sliding-window polynomial hash over the char codes, splitmix-finalized.
-    (min-hashing is duplicate-insensitive, so no per-row set() needed.)"""
-    codes = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    n = len(codes)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    if n <= w:
-        win = codes[None, :]
-        w = n
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(codes, w)
-    B = np.uint64(1099511628211)
-    powers = np.empty(w, dtype=np.uint64)
-    p = np.uint64(1)
-    with np.errstate(over="ignore"):
-        for i in range(w - 1, -1, -1):
-            powers[i] = p
-            p = p * B
-        h = (win * powers[None, :]).sum(axis=1, dtype=np.uint64)
-        return splitmix64(h ^ np.uint64(seed))
+    """The charhash shingle hashes of one text (see ``charshingle_hashes_batch``)."""
+    return charshingle_hashes_batch([s], w, seed=seed)[0]
 
 
 def minhash_signatures_charhash_batch(
@@ -196,30 +285,28 @@ def minhash_signatures_charhash_batch(
     n = len(texts)
     sig = np.full((n, num_hashes), np.iinfo(np.uint64).max, dtype=np.uint64)
     valid = np.zeros(n, dtype=bool)
-    with np.errstate(over="ignore"):
-        a = splitmix64(
-            np.arange(1, num_hashes + 1, dtype=np.uint64) * np.uint64(seed * 2 + 1)
-        )
-        b = splitmix64(a ^ np.uint64(0xABCDEF))
-        for i, s in enumerate(texts):
-            if s is None:
-                continue
-            base = charshingle_hashes(s, shingle_w, seed=seed)
-            if len(base) == 0:
-                # empty text: no shingles -> INVALID (an all-max signature
-                # would alias every other empty doc across all bands)
-                continue
-            valid[i] = True
-            # (S, k) affine family, min over shingles
-            sig[i] = (base[:, None] * a[None, :] + b[None, :]).min(axis=0)
+    a, b = _affine_family(num_hashes, seed)
+    for lo, _hi, base, starts in _charshingle_chunks(texts, shingle_w, seed):
+        # empty text: no shingles -> INVALID (an all-max signature would
+        # alias every other empty doc across all bands)
+        rows = np.flatnonzero(starts[:-1] < starts[1:])
+        if not len(rows):
+            continue
+        valid[lo + rows] = True
+        vals = np.empty_like(base)
+        for k in range(num_hashes):
+            np.multiply(base, a[k], out=vals)
+            vals += b[k]
+            sig[lo + rows, k] = np.minimum.reduceat(vals, starts[rows])
     return sig, valid
 
 
 def band_keys_from_signatures(
     sig: np.ndarray, valid: np.ndarray, *, n_bands: int
-) -> list[list[int] | None]:
-    """(n_rows, num_hashes) signatures -> per-row list of one int64 key per
-    band (band index folded into the key's high byte)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_rows, num_hashes) signatures -> ``(n_rows, n_bands)`` int64 band
+    keys (band index folded into the key's high byte) and ``valid``; rows
+    that are not valid have no keys and hold 0."""
     n, num_hashes = sig.shape
     if n_bands <= 0 or num_hashes % n_bands:
         # rows=0 would leave acc all-zeros — EVERY doc sharing every band
@@ -237,7 +324,8 @@ def band_keys_from_signatures(
             acc = splitmix64(acc ^ sig[:, np.arange(n_bands) * rows + r])
         band_tag = (np.arange(n_bands, dtype=np.uint64) << np.uint64(56))
         keys = (acc ^ band_tag).astype(np.int64)
-    return [keys[i].tolist() if valid[i] else None for i in range(n)]
+    keys[~valid] = 0
+    return keys, valid
 
 
 def minhash_lsh_keys(
@@ -259,7 +347,8 @@ def minhash_lsh_keys(
     sig, valid = minhash_signatures_batch(
         [s], num_hashes=num_hashes, shingle_w=shingle_w, seed=seed
     )
-    return band_keys_from_signatures(sig, valid, n_bands=n_bands)[0]
+    keys, valid = band_keys_from_signatures(sig, valid, n_bands=n_bands)
+    return keys[0].tolist() if valid[0] else None
 
 
 # posting-run pair keys enumerated per step of ``_overlaps_from_postings``
@@ -503,36 +592,20 @@ def minhash_lsh_pairs(
         right.map_batches(add_sig, batch_format="pyarrow") if link else None
     )
 
-    def keys_fn(batch: pa.Table) -> pa.Array:
-        sig, valid = signature_rows(batch["__sig__"])
-        return pa.array(
-            band_keys_from_signatures(sig.astype(np.uint64), valid, n_bands=n_bands),
-            type=pa.list_(pa.int64()),
-        )
-
-    keys_fn.__name__ = "lsh_keys"
-
     # ---- explode band keys WITH the signature carried alongside, so the
     # pair-gen shuffle delivers (id_l, id_r, sig_l, sig_r) directly and the
     # verify stage needs NO join back to the corpus for the common case.
     def explode_bands(t: pa.Table) -> pa.Table:
-        keys = keys_fn(t)
-        valid = np.flatnonzero(~np.asarray(keys.is_null()))
-        empty = pa.table(
-            {
-                "record_id": t["record_id"].combine_chunks().slice(0, 0),
-                "token": pa.array([], type=pa.int64()),
-                "__sig__": pa.array([], type=pa.list_(pa.int64(), num_hashes)),
-            }
+        sig, valid = signature_rows(t["__sig__"])
+        keys, _ = band_keys_from_signatures(
+            sig.astype(np.uint64), valid, n_bands=n_bands
         )
-        if len(valid) == 0:
-            return empty
-        take_rows = pa.array(np.repeat(valid, n_bands), type=pa.int64())
-        toks = keys.take(pa.array(valid, type=pa.int64())).flatten()
+        rows = np.flatnonzero(valid)
+        take_rows = pa.array(np.repeat(rows, n_bands), type=pa.int64())
         return pa.table(
             {
                 "record_id": t["record_id"].take(take_rows),
-                "token": toks,
+                "token": pa.array(keys[rows].ravel()),
                 "__sig__": t["__sig__"].take(take_rows),
             }
         )
@@ -736,63 +809,45 @@ def minhash_lsh_dedupe(
 
 
 # ---------------------------------------------------------------- simhash
+def _bit_majority_rows(hashes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """64-bit majority fold of each row run ``hashes[starts[i]:starts[i+1]]``
+    -> signed-int64 simhash per row: bit k set iff strictly more of the
+    row's hashes have bit k set than clear (an exact tie leaves the bit
+    clear; an empty run gives 0). THE simhash construction, shared by both
+    hash families and mirrored by the simhash_charhash SQL oracle."""
+    out = np.zeros(len(starts) - 1, dtype=np.uint64)
+    rows = np.flatnonzero(starts[:-1] < starts[1:])
+    if len(rows):
+        st, size = starts[rows], np.diff(starts)[rows].astype(np.uint64)
+        acc = np.zeros(len(rows), dtype=np.uint64)
+        for k in range(64):
+            bit = np.uint64(k)
+            ones = np.add.reduceat((hashes >> bit) & np.uint64(1), st)
+            acc |= (ones * np.uint64(2) > size).astype(np.uint64) << bit
+        out[rows] = acc
+    return out.view(np.int64)
+
+
 def simhash64_batch(
     texts: list[str | None], *, shingle_w: int = 4, seed: int = 11
 ) -> list[int | None]:
     """Vectorized simhash for a batch: one hash pass over all shingles, then
-    64 ``np.add.reduceat`` bit-majority reductions over row segments."""
-    n = len(texts)
+    one segmented bit-majority over the row runs."""
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
     all_sh: list[str] = []
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    out: list[int | None] = [None] * n
     for i, s in enumerate(texts):
         if s is not None:
-            sh = char_shingles(s, shingle_w)
-            all_sh.extend(sh)
+            all_sh.extend(char_shingles(s, shingle_w))
         offsets[i + 1] = len(all_sh)
-    if not all_sh:
-        return [None if t is None else 0 for t in texts]
-    base = hash64(all_sh, seed=seed)
-    nonempty = offsets[:-1] < offsets[1:]
-    starts = offsets[:-1][nonempty]
-    sig = np.zeros(int(nonempty.sum()), dtype=np.uint64)
-    for k in range(64):
-        pm = (((base >> np.uint64(k)) & np.uint64(1)).astype(np.int64) * 2 - 1)
-        rowsum = np.add.reduceat(pm, starts)
-        sig |= (rowsum > 0).astype(np.uint64) << np.uint64(k)
-    vals = sig.astype(np.int64)
-    j = 0
-    for i in range(n):
-        if texts[i] is None:
-            out[i] = None
-        elif nonempty[i]:
-            out[i] = int(vals[j])
-            j += 1
-        else:
-            out[i] = 0
-    return out
-
-
-def _bit_majority(hashes: np.ndarray) -> int:
-    """64-bit majority fold of a uint64 hash array -> signed-int64 simhash
-    (bit k set iff strictly more hashes have bit k set than clear — an
-    exact tie leaves the bit clear). THE simhash construction, shared by
-    both hash families and mirrored by the simhash_charhash SQL oracle."""
-    bits = (
-        (hashes[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    ).astype(np.int64)
-    score = bits.sum(axis=0) * 2 - len(hashes)
-    out = np.uint64(0)
-    for k in range(64):
-        if score[k] > 0:
-            out |= np.uint64(1) << np.uint64(k)
-    return int(out.astype(np.int64))
+    base = hash64(all_sh, seed=seed) if all_sh else np.empty(0, dtype=np.uint64)
+    sig = _bit_majority_rows(base, offsets).tolist()
+    return [None if s is None else v for s, v in zip(texts, sig)]
 
 
 def simhash64_charhash_batch(
     texts: list[str | None], *, shingle_w: int = 6, seed: int = 7
 ) -> list[int | None]:
-    """Simhash over ROLLING-HASH char shingles (:func:`charshingle_hashes`,
+    """Simhash over ROLLING-HASH char shingles (:func:`charshingle_hashes_batch`,
     the minhash charhash family) instead of the siphash fold of
     :func:`simhash64_batch`. Same bit-majority construction; the payoff is
     that the whole text -> signature computation is pure 64-bit polynomial
@@ -802,22 +857,14 @@ def simhash64_charhash_batch(
     empty text; duplicate shingles are NOT deduplicated (rolling hashes
     skip the per-row set() — document-frequency weighting, equally valid
     simhash semantics, matched by the oracle)."""
-    out: list[int | None] = [None] * len(texts)
-    for i, s in enumerate(texts):
-        if s is None:
-            continue
-        base = charshingle_hashes(s, shingle_w, seed=seed)
-        out[i] = _bit_majority(base) if len(base) else 0
-    return out
+    sig = np.zeros(len(texts), dtype=np.int64)
+    for lo, hi, h, starts in _charshingle_chunks(texts, shingle_w, seed):
+        sig[lo:hi] = _bit_majority_rows(h, starts)
+    return [None if s is None else v for s, v in zip(texts, sig.tolist())]
 
 
 def simhash64(s: str | None, *, shingle_w: int = 4, seed: int = 11) -> int | None:
-    if s is None:
-        return None
-    sh = char_shingles(s, shingle_w)
-    if not sh:
-        return 0
-    return _bit_majority(hash64(sh, seed=seed))
+    return simhash64_batch([s], shingle_w=shingle_w, seed=seed)[0]
 
 
 def hamming64(a: int, b: int) -> int:

@@ -29,6 +29,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from mismo_ray._joins import lookup_positions, take_rows
+from mismo_ray._util import collect_table
+
 
 def _terms_column(batch: pa.Table, column: str) -> list:
     return batch[column].to_pylist()
@@ -137,14 +140,12 @@ def add_tfidf(
             f"{max_broadcast_vocab}); use the explode + bucketed_lookup_join "
             "recipe in this docstring instead of the broadcast path"
         )
-    idf_tbl = idf_ds.to_pandas()
-    idf_map = dict(zip(idf_tbl["term"], idf_tbl["idf"]))
-    idf_ref = ray.put(idf_map)
+    idf_ref = ray.put(collect_table(idf_ds).combine_chunks())
 
     def fn(batch: pa.Table) -> pa.Table:
         # vectorized explode -> (row, term-code) run-length count -> re-list;
-        # the only python loop is over the BATCH-LOCAL term dictionary (idf
-        # lookup), never over rows (VERDICT r4 nit #1).
+        # the batch-local term dictionary meets the idf table through the
+        # lookup kernel (a term missing from it has idf 0.0)
         idf = ray.get(idf_ref)
         term_type = batch.schema.field(column).type.value_type
         out_type = pa.list_(
@@ -193,14 +194,15 @@ def add_tfidf(
                 tf = counts / np.sqrt(nrm2[grow])
             else:
                 tf = counts
-            term_list = dict_terms.to_pylist() + ([None] if has_null_term else [])
-            idf_vals = np.array(
-                [idf.get(t, 0.0) for t in term_list], dtype=np.float64
+            terms = dict_terms
+            if has_null_term:
+                terms = pa.concat_arrays([terms, pa.nulls(1, term_type)])
+            pos = lookup_positions(terms, idf["term"])
+            idf_vals = np.asarray(
+                take_rows(idf["idf"], pos).fill_null(0.0), dtype=np.float64
             )
             values = tf * idf_vals[gcode]
-            keys = pa.array(term_list, type=term_type).take(
-                pa.array(gcode, type=pa.int64())
-            )
+            keys = terms.take(pa.array(gcode, type=pa.int64()))
             struct = pa.StructArray.from_arrays(
                 [keys, pa.array(values, type=pa.float64())],
                 names=["key", "value"],

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -295,17 +296,11 @@ class StreamingNearDupIndex:
             sig, valid = minhash_signatures_charhash_batch(
                 texts, num_hashes=num_hashes, shingle_w=shingle_w, seed=seed
             )
-            keys = band_keys_from_signatures(sig, valid, n_bands=n_bands)
+            keys, valid = band_keys_from_signatures(sig, valid, n_bands=n_bands)
             # docs with no signature (null / shorter than one shingle) pass
-            has_keys = np.array(
-                [k is not None and len(texts[i] or "") >= shingle_w
-                 for i, k in enumerate(keys)],
-                dtype=bool,
-            )
-            flat = np.array(
-                [f for i, k in enumerate(keys) if has_keys[i] for f in k],
-                dtype=np.int64,
-            )
+            n_chars = pc.fill_null(pc.utf8_length(t[column]), 0)
+            has_keys = valid & (n_chars.to_numpy() >= shingle_w)
+            flat = keys[has_keys].ravel()
             with np.errstate(over="ignore"):
                 tok = np.bitwise_xor.reduce(
                     splitmix64(
@@ -328,7 +323,7 @@ class StreamingNearDupIndex:
                 pos = np.flatnonzero(sh == s)
                 futures.append(
                     shards[int(s)].contains_excluding.remote(
-                        [int(f) for f in flat[pos]], token
+                        flat[pos].tolist(), token
                     )
                 )
                 positions.append(pos)
@@ -340,10 +335,9 @@ class StreamingNearDupIndex:
             local: set[int] = set()
             j = 0
             claim: list[int] = []
-            for i in range(len(t)):
-                if not has_keys[i]:
-                    continue
-                ks = keys[i]
+            for i, ks in zip(
+                np.flatnonzero(has_keys).tolist(), keys[has_keys].tolist()
+            ):
                 row_hit = False
                 for b in range(n_bands):
                     if hit[j + b] or ks[b] in local:
@@ -363,7 +357,7 @@ class StreamingNearDupIndex:
                 ray.get(
                     [
                         shards[int(s)].add.remote(
-                            [int(f) for f in carr[csh == s]], token
+                            carr[csh == s].tolist(), token
                         )
                         for s in np.unique(csh)
                     ]

@@ -10,7 +10,8 @@
 - ``AmbiguousHaystackFilterer``: drop haystack records whose key appears more
   than once (_filterer.py:88-127).
 
-Ray mapping: frequency tables are materialized (value, n) groupby-counts;
+Ray mapping: frequency tables are materialized (value, n) counts from one
+bucketed shuffle (``_joins.count_values``);
 vocabularies up to ``broadcast_threshold`` are collected as Arrow tables,
 shipped with ``ray.put`` and looked up map-side with the ``_joins`` lookup
 kernel; larger ones stay Datasets and are applied with
@@ -29,13 +30,14 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
-from ray.data.aggregate import Count
 
 
 def column_stats(ds: ray.data.Dataset, column: str) -> ray.data.Dataset:
     """(value, n, frequency) lookup Dataset for one column."""
+    from mismo_ray._joins import count_values
+
     n_total = ds.count()
-    counts = ds.groupby(column).aggregate(Count(alias_name="n"))
+    counts = count_values(ds, column)
 
     def add_freq(t: pa.Table) -> pa.Table:
         n = np.asarray(t["n"], dtype=np.float64)
@@ -60,11 +62,11 @@ class TermFrequencyModel:
         self._n_total = 0
 
     def fit(self, ds: ray.data.Dataset) -> "TermFrequencyModel":
+        from mismo_ray._joins import count_values
+
         self._n_total = ds.count()
         for c in self.columns:
-            self._count_ds[c] = (
-                ds.groupby(c).aggregate(Count(alias_name="n")).materialize()
-            )
+            self._count_ds[c] = count_values(ds, c).materialize()
         return self
 
     def add_term_frequencies(

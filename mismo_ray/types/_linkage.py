@@ -35,12 +35,12 @@ from ray.data.aggregate import Count
 
 from mismo_ray._joins import (
     bucketed_lookup_join,
-    default_num_partitions,
+    count_values,
     lookup_positions,
     partition_hint,
     take_rows,
 )
-from mismo_ray._util import EMPTY_LINKS_SCHEMA, base_schema_or, collect_table, hash64
+from mismo_ray._util import EMPTY_LINKS_SCHEMA, base_schema_or, collect_table
 
 # with_both collects record tables of at most this many rows
 BROADCAST_ROWS = 200_000
@@ -272,29 +272,10 @@ class Linkage:
     # ------------------------------------------------------------ diagnostics
     def _n_links_ds(self, side: str) -> ray.data.Dataset:
         """(record_id, n_links) per record of ``side`` with links. Links are
-        distinct pairs by construction (linkers dedup). One bucketed shuffle
-        on the id hash, counted per bucket with the lookup kernel, so null
-        and struct ids count like any other."""
+        distinct pairs by construction (linkers dedup)."""
         key = "record_id_l" if side == "left" else "record_id_r"
-        B = default_num_partitions()
-
-        def bucket(t: pa.Table) -> pa.Table:
-            ids = t[key].combine_chunks()
-            b = (hash64(ids) % np.uint64(B)).astype(np.int64)
-            return pa.table({"record_id": ids, "__nb__": pa.array(b)})
-
-        def count(g: pa.Table) -> pa.Table:
-            ids = g["record_id"].combine_chunks()
-            # each id's first row in the bucket, one count per first row
-            first, n = np.unique(lookup_positions(ids, ids), return_counts=True)
-            return pa.table(
-                {"record_id": take_rows(ids, first), "n_links": pa.array(n)}
-            )
-
-        return (
-            self._links.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__nb__")
-            .map_groups(count, batch_format="pyarrow")
+        return count_values(
+            self._links, key, value_name="record_id", count_name="n_links"
         )
 
     def with_n_links(self, side: str = "left") -> ray.data.Dataset:

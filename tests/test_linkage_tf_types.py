@@ -385,6 +385,40 @@ def test_term_frequency_model_join_path(ray_session):
     assert fb[0] == pytest.approx((3 / 8) * (4 / 8))  # ANNE * SMITH
 
 
+def test_term_frequencies_on_struct_column(ray_session):
+    """Struct values count like any other (a sort-based groupby cannot
+    order them): column_stats and both TermFrequencyModel routes."""
+    from mismo_ray.tf import TermFrequencyModel, column_stats
+
+    name = pa.struct([("first", pa.string()), ("last", pa.string())])
+    anne = {"first": "ANNE", "last": "SMITH"}
+    bob = {"first": "BOB", "last": "JONES"}
+    tbl = pa.table(
+        {
+            "record_id": list(range(5)),
+            "name": pa.array([anne, bob, anne, anne, bob], type=name),
+        }
+    )
+    ds = ray.data.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+    stats = {
+        (r["name"]["first"], r["n"], r["frequency"])
+        for r in column_stats(ds, "name").take_all()
+    }
+    assert stats == {("ANNE", 3, 3 / 5), ("BOB", 2, 2 / 5)}
+    other = ray.data.from_arrow(
+        pa.table(
+            {
+                "record_id": [0, 1],
+                "name": pa.array([bob, {"first": "ZED", "last": "SMITH"}], type=name),
+            }
+        )
+    )
+    for threshold in (2_000_000, 0):  # collected lookup, bucketed join
+        model = TermFrequencyModel(["name"], broadcast_threshold=threshold).fit(ds)
+        got = {r["record_id"]: r["frequency"] for r in model.add_term_frequencies(other).take_all()}
+        assert got == {0: pytest.approx(2 / 5), 1: pytest.approx(1 / 5)}
+
+
 def test_ambiguous_haystack_filterer_distributed(ray_session):
     from mismo_ray.tf import AmbiguousHaystackFilterer
 

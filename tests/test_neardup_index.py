@@ -89,8 +89,8 @@ def test_matches_minhash_lsh_pairs_semantics(ray_session):
     sig, valid = minhash_signatures_charhash_batch(
         [BASE, NEAR], num_hashes=16, shingle_w=24, seed=7
     )
-    keys = band_keys_from_signatures(sig, valid, n_bands=8)
-    shared = set(keys[0]) & set(keys[1])
+    keys, _ = band_keys_from_signatures(sig, valid, n_bands=8)
+    shared = set(keys[0].tolist()) & set(keys[1].tolist())
     assert shared  # precondition: they do share a band
 
     idx = StreamingNearDupIndex(n_shards=2)
